@@ -1,13 +1,11 @@
 #!/usr/bin/env bash
 # Runs the benchmark suite and leaves machine-readable perf records
 # (BENCH_engine.json, BENCH_chase.json, BENCH_chase_parallel.json,
-# BENCH_service.json, BENCH_layout.json, BENCH_layout_hom.json,
-# BENCH_cache.json, BENCH_cluster.json) so successive PRs accumulate a
-# throughput trajectory.
+# BENCH_service.json, BENCH_cache.json, BENCH_cluster.json) so successive
+# PRs accumulate a throughput trajectory.
 #
 #   bench/run_benchmarks.sh [build-dir] [engine-out.json] [chase-out.json] \
 #                           [chase-parallel-out.json] [service-out.json] \
-#                           [layout-out.json] [layout-hom-out.json] \
 #                           [cache-out.json] [cluster-out.json]
 #
 # The build dir must already contain bench/bench_batch_engine,
@@ -20,10 +18,8 @@ ENGINE_OUT="${2:-BENCH_engine.json}"
 CHASE_OUT="${3:-BENCH_chase.json}"
 CHASE_PARALLEL_OUT="${4:-BENCH_chase_parallel.json}"
 SERVICE_OUT="${5:-BENCH_service.json}"
-LAYOUT_OUT="${6:-BENCH_layout.json}"
-LAYOUT_HOM_OUT="${7:-BENCH_layout_hom.json}"
-CACHE_OUT="${8:-BENCH_cache.json}"
-CLUSTER_OUT="${9:-BENCH_cluster.json}"
+CACHE_OUT="${6:-BENCH_cache.json}"
+CLUSTER_OUT="${7:-BENCH_cluster.json}"
 
 # Stamps a bench JSON with provenance metadata (git sha, UTC date, host
 # thread count) under a "tdlib_meta" key, so the BENCH_* trajectory stays
@@ -76,18 +72,11 @@ run_bench() {
 }
 
 run_bench "$BUILD_DIR/bench/bench_batch_engine" "$ENGINE_OUT"
-# One binary, three records: the serial naive-vs-delta series, the
-# BM_ChaseParallel* threads-axis series, and the BM_Layout* data-layout axis
-# ({row-major, SoA} x {single-list, intersection} x {scalar, simd}), each
-# tracked as its own trajectory.
-run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_OUT" \
-  '-(BM_ChaseParallel|BM_Layout)'
+# One binary, two records: the serial naive-vs-delta series and the
+# BM_ChaseParallel* threads-axis series, each tracked as its own trajectory.
+run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_OUT" '-BM_ChaseParallel'
 run_bench "$BUILD_DIR/bench/bench_chase" "$CHASE_PARALLEL_OUT" \
   'BM_ChaseParallel'
-run_bench "$BUILD_DIR/bench/bench_chase" "$LAYOUT_OUT" 'BM_Layout'
-# The pure match-phase view of the same layout axis (no chase around it).
-run_bench "$BUILD_DIR/bench/bench_homomorphism" "$LAYOUT_HOM_OUT" \
-  'BM_LayoutHom'
 # The service API record: submit-to-complete latency percentiles at pool
 # widths 1/2/4/8, plus the escalation-resume wall-time series.
 run_bench "$BUILD_DIR/bench/bench_service" "$SERVICE_OUT"
@@ -109,7 +98,7 @@ if ! command -v python3 > /dev/null; then
   exit 0
 fi
 python3 - "$ENGINE_OUT" "$CHASE_OUT" "$CHASE_PARALLEL_OUT" "$SERVICE_OUT" \
-  "$LAYOUT_OUT" "$LAYOUT_HOM_OUT" "$CACHE_OUT" "$CLUSTER_OUT" <<'EOF'
+  "$CACHE_OUT" "$CLUSTER_OUT" <<'EOF'
 import json, sys
 
 data = json.load(open(sys.argv[1]))
@@ -201,7 +190,7 @@ if not ok:
 # the bench, which compares against RunSerial); the 10x warm speedup target
 # prints a WARN when missed but does not gate (single-repetition wall times
 # on a shared box are too noisy for a hard perf gate).
-cache = json.load(open(sys.argv[7]))
+cache = json.load(open(sys.argv[5]))
 sweep_modes = {}
 for b in cache.get("benchmarks", []):
     if b["name"].split("/")[0] == "BM_CacheWarmSweep":
@@ -223,84 +212,12 @@ if 0 in sweep_modes and 1 in sweep_modes:
     if not cache_ok:
         sys.exit(1)
 
-# Layout recap: per family, wall time across the {soa, intersect, simd}
-# combos, plus a HARD parity check — fired_steps and hom_nodes must be
-# identical along all three axes (the layout is physical, the intersection
-# is node-invariant, the SIMD block evaluator is byte-invariant), and the
-# pruning counter (hom_candidates / candidates) must be identical along the
-# SIMD axis specifically: it legitimately drops under intersection, but the
-# scalar and block evaluators must count the exact same candidates. The
-# baseline cell is the lexicographically smallest combo present (row-major,
-# scalar first), and the *ColumnScan families print the acceptance headline:
-# soa=1,simd=1 over soa=0,simd=0, target >= 1.5x (WARN only — single-rep
-# wall times are too noisy for a hard perf gate; the parity checks are the
-# hard failures).
-def check_layout(path, wall_key, parity_fields, prune_field):
-    data = json.load(open(path))
-    groups = {}
-    for b in data.get("benchmarks", []):
-        if "soa" not in b or "intersect" not in b:
-            continue
-        key = (b["name"].split("/")[0],
-               tuple(sorted((k, v) for k, v in b.items()
-                            if k in ("jobs", "arity", "path_length",
-                                     "tuples"))))
-        combo = (int(b["soa"]), int(b["intersect"]), int(b.get("simd", 0)))
-        groups.setdefault(key, {})[combo] = b
-    all_ok = True
-    for (family, key), combos in sorted(groups.items()):
-        base_combo = min(combos)
-        base = combos[base_combo]
-        extras = " ".join(f"{k}={int(v)}" for k, v in key)
-        cells = []
-        for (soa, inter, simd), b in sorted(combos.items()):
-            speed = base[wall_key] / b[wall_key] if b[wall_key] else 0
-            cells.append(f"s{soa}i{inter}v{simd}="
-                         f"{b[wall_key] / 1e6:.2f}ms({speed:.2f}x)")
-            for field in parity_fields:
-                if b.get(field) != base.get(field):
-                    all_ok = False
-                    print(f"  PARITY VIOLATION {family} soa={soa} "
-                          f"intersect={inter} simd={simd}: {field} "
-                          f"{base.get(field)} != {b.get(field)}")
-            twin = combos.get((soa, inter, 1 - simd))
-            if twin is not None and b.get(prune_field) != twin.get(prune_field):
-                all_ok = False
-                print(f"  PARITY VIOLATION {family} soa={soa} "
-                      f"intersect={inter}: {prune_field} differs across the "
-                      f"simd axis ({twin.get(prune_field)} != "
-                      f"{b.get(prune_field)})")
-        prune = 0.0
-        with_int = combos.get((0, 1, base_combo[2]))
-        if base_combo[1] == 0 and with_int and with_int.get(prune_field):
-            prune = base.get(prune_field, 0) / with_int[prune_field]
-        print(f"{family:<26} {extras:<16} {' '.join(cells)}  "
-              f"{prune_field} pruned {prune:.1f}x")
-        if "ColumnScan" in family:
-            slow = next((b for c, b in sorted(combos.items())
-                         if c[0] == 0 and c[2] == 0), None)
-            fast = next((b for c, b in sorted(combos.items())
-                         if c[0] == 1 and c[2] == 1), None)
-            if slow and fast and fast[wall_key]:
-                ratio = slow[wall_key] / fast[wall_key]
-                flag = "" if ratio >= 1.5 else "  WARN: below 1.5x target"
-                print(f"  column-scan headline {family} {extras}: "
-                      f"soa+simd {ratio:.2f}x over row-major scalar{flag}")
-    return all_ok
-
-layout_ok = check_layout(sys.argv[5], "real_time",
-                         ("fired_steps", "hom_nodes"), "hom_candidates")
-layout_ok = check_layout(sys.argv[6], "real_time",
-                         ("matches", "nodes"), "candidates") and layout_ok
-if not layout_ok:
-    sys.exit(1)
-
 # Cluster recap: sweep throughput/p99 along the worker axis and the
 # kill-one-worker leg. Byte-identity with the serial reference is the HARD
 # check on every row — the throughput numbers are informational (on a
 # shared 1-core box the worker axis mostly measures socket overhead), but a
 # cluster that answers differently from the serial solver is broken.
-cluster = json.load(open(sys.argv[8]))
+cluster = json.load(open(sys.argv[6]))
 cluster_ok = True
 for b in cluster.get("benchmarks", []):
     if "identical_to_serial" not in b:

@@ -48,7 +48,7 @@ std::string CanonicalProblemText(const DependencySet& d, const Dependency& d0,
   std::ostringstream oss;
   // Version tag: bump if the encoding ever changes shape, so fingerprints
   // from different library versions can never alias.
-  oss << "tdlib-canonical 1\n" << d.items.size() << '\n';
+  oss << "tdlib-canonical 2\n" << d.items.size() << '\n';
   for (const Dependency& dep : d.items) EncodeDependency(dep, oss);
   oss << "goal\n";
   EncodeDependency(d0, oss);
@@ -66,9 +66,8 @@ std::string CanonicalProblemText(const DependencySet& d, const Dependency& d0,
       << chase.hom_max_nodes << ' ' << (chase.record_trace ? 1 : 0) << ' '
       << (chase.eager_goal_check ? 1 : 0) << ' ' << (chase.use_delta ? 1 : 0)
       << ' ' << chase.max_fires_per_pass << ' ' << (chase.auto_burst ? 1 : 0)
-      << ' ' << chase.match_slice_ids << ' '
-      << (chase.use_intersection ? 1 : 0) << ' ' << (chase.use_simd ? 1 : 0)
-      << ' ' << cex.max_tuples << ' ' << cex.max_candidates << '\n';
+      << ' ' << chase.match_slice_ids << ' ' << cex.max_tuples << ' '
+      << cex.max_candidates << '\n';
   return oss.str();
 }
 

@@ -26,24 +26,21 @@ void HashRing::Add(int member) {
   }
 }
 
-void HashRing::Remove(int member) {
-  auto it = std::lower_bound(members_.begin(), members_.end(), member);
-  if (it == members_.end() || *it != member) return;
-  members_.erase(it);
-  points_.erase(std::remove_if(points_.begin(), points_.end(),
-                               [member](const Point& p) {
-                                 return p.member == member;
-                               }),
-                points_.end());
+int HashRing::Pick(std::uint64_t key) const {
+  return Pick(key, [](int) { return true; });
 }
 
-int HashRing::Pick(std::uint64_t key) const {
+int HashRing::Pick(std::uint64_t key,
+                   const std::function<bool(int)>& usable) const {
   if (points_.empty()) return -1;
   auto it = std::lower_bound(
       points_.begin(), points_.end(), key,
       [](const Point& p, std::uint64_t k) { return p.position < k; });
-  if (it == points_.end()) it = points_.begin();  // wrap around
-  return it->member;
+  for (std::size_t walked = 0; walked < points_.size(); ++walked, ++it) {
+    if (it == points_.end()) it = points_.begin();  // wrap around
+    if (usable(it->member)) return it->member;
+  }
+  return -1;
 }
 
 bool HashRing::Contains(int member) const {

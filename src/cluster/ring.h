@@ -5,16 +5,22 @@
 // result cache pays off across tenants. A plain `fingerprint % N` would
 // reshuffle almost every key when a worker dies; the classic fix is a ring
 // of virtual nodes — each worker owns kVirtualNodes pseudo-random points on
-// a 64-bit circle, and a key maps to the first point at or after it. Losing
-// a worker then only reassigns the keys that pointed at ITS points (about
-// 1/N of the keyspace), which keeps the surviving workers' caches warm
-// through a crash/restart cycle.
+// a 64-bit circle, and a key maps to the first point at or after it.
+//
+// The router builds the ring once, over every configured slot, and never
+// changes it. A slot that is down is skipped at pick time by walking on to
+// the first usable successor point, so a down worker only reassigns the
+// keys that pointed at ITS points (about 1/N of the keyspace), and a key
+// whose owner is usable maps to that owner no matter which other workers
+// are up, starting or restarting. That keeps every worker's cache warm
+// through start-up and crash/restart cycles alike.
 //
 // Not thread-safe; the router's dispatcher thread owns the ring.
 #ifndef TDLIB_CLUSTER_RING_H_
 #define TDLIB_CLUSTER_RING_H_
 
 #include <cstdint>
+#include <functional>
 #include <vector>
 
 namespace tdlib {
@@ -29,16 +35,16 @@ class HashRing {
   /// member is a no-op.
   void Add(int member);
 
-  /// Removes `member`; unknown members are a no-op.
-  void Remove(int member);
-
   /// Maps `key` to a member: the owner of the first ring point at or after
   /// `key`, wrapping around. Returns -1 when the ring is empty.
   int Pick(std::uint64_t key) const;
 
+  /// Like Pick, but walks on past every point whose member fails `usable`:
+  /// the first usable member at or after `key`. Returns -1 when no member
+  /// is usable. When Pick(key) is usable the two agree.
+  int Pick(std::uint64_t key, const std::function<bool(int)>& usable) const;
+
   bool Contains(int member) const;
-  int size() const { return static_cast<int>(members_.size()); }
-  bool empty() const { return members_.empty(); }
 
  private:
   struct Point {

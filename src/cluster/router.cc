@@ -104,6 +104,7 @@ class RouterImpl {
     for (std::size_t i = 0; i < slots_.size(); ++i) {
       slots_[i].index = static_cast<int>(i);
       slots_[i].restart_at = Clock::now();  // spawn on the first tick
+      ring_.Add(static_cast<int>(i));
     }
     if (slots_.empty()) all_dead_ = true;
 
@@ -113,7 +114,7 @@ class RouterImpl {
 
   ~RouterImpl() {
     WaitIdle();
-    PostEvent(Event{Event::kStop});
+    PostEvent(Event{Event::kStop, -1, 0, nullptr, {}});
     dispatcher_.join();
     ShutdownWorkers();
     {
@@ -159,9 +160,7 @@ class RouterImpl {
       FinishJob(state, SkippedResult(state->job.name), shed, -1);
       return ClusterHandle(state);
     }
-    Event e{Event::kSubmit};
-    e.state = state;
-    PostEvent(std::move(e));
+    PostEvent(Event{Event::kSubmit, -1, 0, state, {}});
     return ClusterHandle(state);
   }
 
@@ -190,9 +189,7 @@ class RouterImpl {
   }
 
   void KillWorker(int slot) {
-    Event e{Event::kKill};
-    e.slot = slot;
-    PostEvent(std::move(e));
+    PostEvent(Event{Event::kKill, slot, 0, nullptr, {}});
   }
 
  private:
@@ -384,10 +381,9 @@ class RouterImpl {
     slot.state = Slot::kUp;
     slot.last_pong = Clock::now();
     slot.last_ping = slot.last_pong;
-    ring_.Add(slot.index);
-    workers_healthy_gauge_->Set(ring_.size());
-    // Keys that fell into the global pending pool while no worker was up
-    // can be placed now.
+    workers_healthy_gauge_->Set(CountUp());
+    // Keys that fell into the global pending pool while no usable worker
+    // was up can be placed now.
     std::deque<std::shared_ptr<ClusterJobState>> pending;
     pending.swap(pending_);
     for (auto& state : pending) Route(state);
@@ -418,8 +414,6 @@ class RouterImpl {
   void HandleWorkerDeath(Slot& slot) {
     stats_worker_crashes_.fetch_add(1, std::memory_order_relaxed);
     Count("cluster.worker_crashes");
-    ring_.Remove(slot.index);
-    workers_healthy_gauge_->Set(ring_.size());
     if (slot.reader.joinable()) slot.reader.join();
     if (slot.fd >= 0) {
       ::close(slot.fd);
@@ -462,6 +456,8 @@ class RouterImpl {
                              std::chrono::duration<double>(slot.backoff));
     }
 
+    workers_healthy_gauge_->Set(CountUp());
+
     // The in-flight job was LOST mid-run: that is the retry-counted path.
     if (lost != nullptr) RecoverJob(lost);
     // Queued-but-undispatched jobs lost nothing; reroute them freely.
@@ -483,6 +479,13 @@ class RouterImpl {
   /// Places a job: parked sessions go to the least-loaded healthy worker,
   /// fresh jobs follow the ring, no-worker situations degrade to the
   /// global pending pool (workers restarting) or the fallback (all dead).
+  ///
+  /// The ring covers every configured slot, so a fresh job's owner never
+  /// depends on the order workers come up: a job whose owner is still
+  /// starting waits in the owner's queue (dispatched on its Hello), and
+  /// only a down or dead owner is skipped, by walking to its first up
+  /// successor. A repeat of the job therefore reaches the worker whose
+  /// cache holds it whenever that worker is up.
   void Route(const std::shared_ptr<ClusterJobState>& state) {
     if (all_dead_) {
       EnqueueFallback(state);
@@ -493,6 +496,12 @@ class RouterImpl {
       target = LeastLoadedUp(-1);
     } else {
       target = ring_.Pick(state->key);
+      if (target >= 0 && !Starting(slots_[target]) &&
+          slots_[target].state != Slot::kUp) {
+        target = ring_.Pick(state->key, [this](int member) {
+          return slots_[member].state == Slot::kUp;
+        });
+      }
     }
     if (target < 0) {
       pending_.push_back(state);  // a restart is pending; wait for a Hello
@@ -511,6 +520,20 @@ class RouterImpl {
     }
     slots_[target].queue.push_back(state);
     PumpSlot(slots_[target]);
+  }
+
+  /// True while a slot's first worker has not said Hello yet: spawned and
+  /// waiting, or about to be spawned by the first Tick. A crashed worker's
+  /// restart does not count — its slot is down until the new Hello.
+  static bool Starting(const Slot& slot) {
+    return slot.restarts == 0 &&
+           (slot.state == Slot::kStarting || slot.state == Slot::kDown);
+  }
+
+  int CountUp() const {
+    int up = 0;
+    for (const Slot& slot : slots_) up += slot.state == Slot::kUp ? 1 : 0;
+    return up;
   }
 
   int LeastLoadedUp(int exclude) const {
@@ -668,27 +691,16 @@ class RouterImpl {
         if (frame.code() == ErrorCode::kCorrupt) {
           Count("cluster.frames_corrupt");
         }
-        Event e{Event::kGone};
-        e.slot = slot_index;
-        e.generation = generation;
-        PostEvent(std::move(e));
+        PostEvent(Event{Event::kGone, slot_index, generation, nullptr, {}});
         return;
       }
       switch (frame.value().type) {
-        case FrameType::kHello: {
-          Event e{Event::kHello};
-          e.slot = slot_index;
-          e.generation = generation;
-          PostEvent(std::move(e));
+        case FrameType::kHello:
+          PostEvent(Event{Event::kHello, slot_index, generation, nullptr, {}});
           break;
-        }
-        case FrameType::kPong: {
-          Event e{Event::kPong};
-          e.slot = slot_index;
-          e.generation = generation;
-          PostEvent(std::move(e));
+        case FrameType::kPong:
+          PostEvent(Event{Event::kPong, slot_index, generation, nullptr, {}});
           break;
-        }
         case FrameType::kResult: {
           Result<WireResult> wire_result =
               DecodeResultPayload(frame.value().payload);
@@ -696,17 +708,12 @@ class RouterImpl {
             // A worker speaking garbage is crashed by definition (the
             // crash-only pact, enforced from the router side).
             Count("cluster.frames_corrupt");
-            Event e{Event::kGone};
-            e.slot = slot_index;
-            e.generation = generation;
-            PostEvent(std::move(e));
+            PostEvent(
+                Event{Event::kGone, slot_index, generation, nullptr, {}});
             return;
           }
-          Event e{Event::kResult};
-          e.slot = slot_index;
-          e.generation = generation;
-          e.wire_result = std::move(wire_result).value();
-          PostEvent(std::move(e));
+          PostEvent(Event{Event::kResult, slot_index, generation, nullptr,
+                          std::move(wire_result).value()});
           break;
         }
         default:

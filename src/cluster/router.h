@@ -11,7 +11,9 @@
 // queue fed by per-worker reader threads; there is no shared mutable
 // scheduling state outside it. Jobs are keyed on the canonical-form
 // fingerprint (cache/canonical.h), so isomorphic jobs consistently land on
-// the same worker and its result cache serves repeats as kHit.
+// the same worker and its result cache serves repeats as kHit. The ring
+// covers every configured slot: a job whose owner is still starting waits
+// for it, and only a down owner's keys move, to its first up successor.
 //
 // Robustness model:
 //   * crash    — a worker's socket closing (or a corrupt frame from it)

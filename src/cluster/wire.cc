@@ -148,7 +148,7 @@ class PayloadReader {
   }
 
   bool ReadBool(bool* out) {
-    std::uint64_t v;
+    std::uint64_t v = 0;
     if (!ReadU64(&v) || v > 1) return false;
     *out = v == 1;
     return true;
@@ -200,9 +200,8 @@ void EncodeConfig(const DualSolverConfig& config, std::ostream& os) {
      << (chase.record_trace ? 1 : 0) << ' ' << (chase.eager_goal_check ? 1 : 0)
      << ' ' << (chase.use_delta ? 1 : 0) << ' ' << chase.max_fires_per_pass
      << ' ' << (chase.auto_burst ? 1 : 0) << ' ' << chase.match_slice_ids
-     << ' ' << (chase.use_intersection ? 1 : 0) << ' '
-     << (chase.use_simd ? 1 : 0) << ' ' << cex.max_tuples << ' '
-     << cex.max_candidates << ' ' << cex.deadline_seconds << '\n';
+     << ' ' << cex.max_tuples << ' ' << cex.max_candidates << ' '
+     << cex.deadline_seconds << '\n';
 }
 
 bool DecodeConfig(PayloadReader* in, DualSolverConfig* config) {
@@ -218,9 +217,7 @@ bool DecodeConfig(PayloadReader* in, DualSolverConfig* config) {
          in->ReadBool(&chase.use_delta) &&
          in->ReadU64(&chase.max_fires_per_pass) &&
          in->ReadBool(&chase.auto_burst) &&
-         in->ReadU64(&chase.match_slice_ids) &&
-         in->ReadBool(&chase.use_intersection) &&
-         in->ReadBool(&chase.use_simd) && in->ReadInt(&cex.max_tuples) &&
+         in->ReadU64(&chase.match_slice_ids) && in->ReadInt(&cex.max_tuples) &&
          in->ReadU64(&cex.max_candidates) &&
          in->ReadDouble(&cex.deadline_seconds);
 }

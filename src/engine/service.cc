@@ -144,6 +144,7 @@ void ExecuteOnWorker(ServiceCore* core, const std::shared_ptr<JobState>& s,
     // The session persists across runs of this state: a later
     // ResumeWithBudget continues this run's chase from its checkpoint.
     r = RunJob(s->job, config, &s->session);
+    r.queue_seconds = elapsed;  // RunJob builds a fresh result
     if (s->cancel.load(std::memory_order_relaxed) &&
         r.verdict == DualVerdict::kUnknown) {
       // A solve the cancel flag actually cut short reports kUnknown
@@ -227,8 +228,12 @@ void PublishTerminal(const std::shared_ptr<JobState>& state,
   }
 
   bool was_started;
+  double elapsed;
   {
     std::lock_guard<std::mutex> lock(state->mu);
+    // Read under the lock, before done flips: once it does, a
+    // ResumeWithBudget may Reset the timer for the next run.
+    elapsed = state->submit_timer.ElapsedSeconds();
     state->result = result;
     state->done = true;
     was_started = state->started;
@@ -243,7 +248,6 @@ void PublishTerminal(const std::shared_ptr<JobState>& state,
   // the counts — so it skips the outcome partition and the latency
   // histogram; the in-flight gauge stays symmetric (the worker counted the
   // runner up when it picked it up).
-  const double elapsed = state->submit_timer.ElapsedSeconds();
   ServiceMetrics& m = GetServiceMetrics();
   if (!state->internal_runner) {
     switch (result.status) {

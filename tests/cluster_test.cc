@@ -26,6 +26,7 @@
 #include "engine/workload.h"
 #include "logic/schema.h"
 #include "util/fault.h"
+#include "util/metrics.h"
 
 namespace tdlib {
 namespace {
@@ -154,7 +155,8 @@ TEST(ClusterWireTest, JobPayloadRoundTripPreservesSemantics) {
   Job job = MakeSmallJob("round trip job");
   job.priority = 7;
   job.config.base_chase.hom_max_nodes = 12345;
-  job.config.base_chase.use_simd = false;
+  job.config.base_chase.auto_burst = true;
+  job.config.base_chase.match_slice_ids = 321;
   job.config.base_counterexample.max_candidates = 99;
 
   WireJob wire_job(job);
@@ -170,7 +172,8 @@ TEST(ClusterWireTest, JobPayloadRoundTripPreservesSemantics) {
   EXPECT_EQ(got.job.name, "round trip job");
   EXPECT_EQ(got.job.priority, 7);
   EXPECT_EQ(got.job.config.base_chase.hom_max_nodes, 12345u);
-  EXPECT_FALSE(got.job.config.base_chase.use_simd);
+  EXPECT_TRUE(got.job.config.base_chase.auto_burst);
+  EXPECT_EQ(got.job.config.base_chase.match_slice_ids, 321u);
   EXPECT_EQ(got.job.config.base_counterexample.max_candidates, 99u);
   // The program may be canonically renamed in flight; the contract is that
   // every deterministic result byte survives, so compare solver outputs.
@@ -211,7 +214,7 @@ TEST(ClusterWireTest, ResultPayloadRoundTripsEveryField) {
 
 // ---- consistent-hash ring --------------------------------------------------
 
-TEST(ClusterRingTest, RemovalOnlyMovesTheDeadMembersKeys) {
+TEST(ClusterRingTest, DownMemberOnlyMovesItsOwnKeys) {
   HashRing ring;
   for (int m = 0; m < 4; ++m) ring.Add(m);
   std::vector<int> before(1000);
@@ -219,31 +222,34 @@ TEST(ClusterRingTest, RemovalOnlyMovesTheDeadMembersKeys) {
     before[k] = ring.Pick(k * 0x9e3779b97f4a7c15ULL);
     EXPECT_GE(before[k], 0);
   }
-  ring.Remove(2);
-  int moved = 0;
-  for (std::uint64_t k = 0; k < before.size(); ++k) {
-    const int now = ring.Pick(k * 0x9e3779b97f4a7c15ULL);
-    EXPECT_NE(now, 2);
-    if (before[k] != 2) {
-      // Keys that did not point at the dead member must not move at all —
-      // this is the property that keeps surviving worker caches warm.
-      EXPECT_EQ(now, before[k]) << "key " << k;
-    } else {
-      ++moved;
-    }
-  }
-  EXPECT_GT(moved, 0);
-  // All four members actually owned keys before the removal.
+  // All four members actually own keys.
   EXPECT_EQ(std::set<int>(before.begin(), before.end()).size(), 4u);
+  for (int down = 0; down < 4; ++down) {
+    int moved = 0;
+    for (std::uint64_t k = 0; k < before.size(); ++k) {
+      const std::uint64_t key = k * 0x9e3779b97f4a7c15ULL;
+      const int now = ring.Pick(key, [down](int m) { return m != down; });
+      EXPECT_NE(now, down);
+      if (before[k] != down) {
+        // Keys of up owners must not move at all — this is the property
+        // that keeps the other workers' caches warm while one is down.
+        EXPECT_EQ(now, before[k]) << "key " << k << " down " << down;
+      } else {
+        ++moved;
+      }
+      // The unfiltered pick is the configured owner, whoever is down.
+      EXPECT_EQ(ring.Pick(key), before[k]);
+    }
+    EXPECT_GT(moved, 0) << "down " << down;
+  }
 }
 
-TEST(ClusterRingTest, EmptyRingPicksNobody) {
+TEST(ClusterRingTest, EmptyOrUnusableRingPicksNobody) {
   HashRing ring;
   EXPECT_EQ(ring.Pick(123), -1);
   ring.Add(5);
   EXPECT_EQ(ring.Pick(123), 5);
-  ring.Remove(5);
-  EXPECT_EQ(ring.Pick(123), -1);
+  EXPECT_EQ(ring.Pick(123, [](int) { return false; }), -1);
 }
 
 // ---- fault sites on the socket paths ---------------------------------------
@@ -336,6 +342,52 @@ TEST(ClusterRouterTest, RepeatSubmissionIsServedFromTheWorkerCache) {
   EXPECT_GE(router.Stats().cache_hits, 1);
 }
 
+TEST(ClusterRouterTest, RepeatsHitTheCacheAfterStaggeredStartup) {
+  SKIP_WITHOUT_WORKER();
+  // Distinct jobs submitted the moment the router exists, while its workers
+  // are still starting and saying Hello in whatever order they manage.
+  // Routing covers the configured slots, not the workers up so far, so
+  // each job waits for its owner, and a repeat once everyone is up reaches
+  // the worker whose cache holds it.
+  const int kWorkers = 3;
+  std::vector<Job> jobs;
+  for (int i = 0; i < 8; ++i) {
+    Job job = MakeSmallJob("staggered-" + std::to_string(i));
+    job.config.base_chase.max_steps = 40 + static_cast<std::uint64_t>(i);
+    jobs.push_back(std::move(job));
+  }
+  const bool metrics_were_enabled = MetricsEnabled();
+  SetMetricsEnabled(true);
+  {
+    ClusterRouter router(FastOptions(kWorkers));
+    std::vector<ClusterHandle> cold;
+    for (const Job& job : jobs) cold.push_back(router.Submit(job));
+    std::set<int> owners;
+    for (ClusterHandle& handle : cold) {
+      const ClusterResult& r = handle.Wait();
+      ASSERT_EQ(r.outcome, ClusterOutcome::kCompleted);
+      EXPECT_EQ(r.result.cache_source, CacheSource::kMiss);
+      owners.insert(r.worker);
+    }
+    EXPECT_GE(owners.size(), 2u);  // the jobs really spread over the ring
+    Gauge* healthy =
+        MetricsRegistry::Global().GetGauge("cluster.workers_healthy");
+    ASSERT_TRUE(PollUntil([&] { return healthy->Value() == kWorkers; }));
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+      const ClusterResult warm = router.Submit(jobs[i]).Wait();
+      ASSERT_EQ(warm.outcome, ClusterOutcome::kCompleted);
+      EXPECT_EQ(warm.result.cache_source, CacheSource::kHit) << jobs[i].name;
+      EXPECT_EQ(warm.worker, cold[i].Wait().worker) << jobs[i].name;
+      EXPECT_EQ(warm.result.DeterministicSummary(),
+                cold[i].Wait().result.DeterministicSummary());
+    }
+    EXPECT_EQ(router.Stats().cache_hits,
+              static_cast<std::int64_t>(jobs.size()));
+    ExpectLedgerBalances(router.Stats());
+  }
+  SetMetricsEnabled(metrics_were_enabled);
+}
+
 TEST(ClusterRouterTest, KilledWorkerLosesNoJobs) {
   SKIP_WITHOUT_WORKER();
   // Six pumping chases across two workers; slot 0 is killed while they
@@ -414,7 +466,7 @@ TEST(ClusterRouterTest, ParkedCheckpointMigratesAndResumesByteIdentically) {
   ClusterRouter router(options);
 
   const Job job = MakeGapJob("migrant", 0, /*max_steps=*/2000);
-  const ClusterResult& r = router.Submit(job).Wait();
+  const ClusterResult r = router.Submit(job).Wait();
   ASSERT_EQ(r.outcome, ClusterOutcome::kCompleted);
   EXPECT_TRUE(r.migrated);
   EXPECT_EQ(r.result.DeterministicSummary(),
@@ -430,7 +482,7 @@ TEST(ClusterRouterTest, UnspawnableWorkersExhaustRetriesWithoutFallback) {
   options.max_restarts = 1;
   options.fallback_when_down = false;
   ClusterRouter router(options);
-  const ClusterResult& r = router.Submit(MakeSmallJob("doomed")).Wait();
+  const ClusterResult r = router.Submit(MakeSmallJob("doomed")).Wait();
   EXPECT_EQ(r.outcome, ClusterOutcome::kRetriesExhausted);
   EXPECT_EQ(r.result.status, JobStatus::kSkipped);
   const ClusterStats stats = router.Stats();
@@ -481,7 +533,7 @@ TEST(ClusterRouterTest, LastWorkerDownDegradesToTheFallback) {
   options.fallback_when_down = true;  // the default, spelled out
   ClusterRouter router(options);
   const Job job = MakeSmallJob("fallback");
-  const ClusterResult& r = router.Submit(job).Wait();
+  const ClusterResult r = router.Submit(job).Wait();
   EXPECT_EQ(r.outcome, ClusterOutcome::kFallback);
   EXPECT_EQ(r.result.DeterministicSummary(),
             RunJob(job).DeterministicSummary());

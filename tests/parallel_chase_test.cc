@@ -165,6 +165,42 @@ TEST(ParallelChaseTest, CrossProductClosureIdentical) {
   CrossValidate(seed, deps, config, "cross-product closure cap=16");
 }
 
+// ---- Wide existential program over a random seed ---------------------------
+
+TEST(ParallelChaseTest, WideExistentialProgramAndClosureIdentical) {
+  // A wide existential program (nulls invented, multi-position joins) and a
+  // cross-product closure over one random seed, alone and together. The
+  // existential rule binds two positions per body row, so these inputs
+  // exercise the per-candidate rejection of the second bound position.
+  SchemaPtr schema = MakeSchema({"A", "B"});
+  const char* closure = "R(a,b) & R(a2,b2) => R(a,b2)";
+  const char* existential = "R(a,b) & R(a,b2) => R(a3,b)";
+  const std::vector<std::vector<const char*>> programs = {
+      {existential}, {closure}, {closure, existential}};
+  Rng rng(2026);
+  Instance seed(schema);
+  const int domain = 7;
+  for (int attr = 0; attr < 2; ++attr) {
+    for (int v = 0; v < domain; ++v) seed.AddValue(attr);
+  }
+  for (int i = 0; i < 25; ++i) {
+    seed.AddTuple({static_cast<int>(rng.Below(domain)),
+                   static_cast<int>(rng.Below(domain))});
+  }
+  ChaseConfig config;
+  config.max_steps = 120;
+  config.max_tuples = 2500;
+  for (const std::vector<const char*>& program : programs) {
+    DependencySet deps;
+    std::string label;
+    for (const char* text : program) {
+      deps.Add(std::move(ParseDependency(schema, text)).value());
+      label += std::string(label.empty() ? "" : " + ") + text;
+    }
+    CrossValidate(seed, deps, config, label);
+  }
+}
+
 // ---- Zigzag reachability closure --------------------------------------------
 
 TEST(ParallelChaseTest, ZigzagReachabilityIdentical) {

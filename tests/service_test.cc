@@ -213,6 +213,27 @@ TEST(SolverService, CancelQueuedJobMakesItTerminalWithoutRunning) {
   EXPECT_EQ(pumping.Wait().status, JobStatus::kCancelled);
 }
 
+TEST(SolverService, QueuedJobReportsItsQueueWait) {
+  // One worker, occupied by a pumping job for at least 50 ms: the second
+  // submission waits in the queue that long, runs once the blocker is
+  // cancelled, and must report the wait in its result.
+  ServiceOptions service_options;
+  service_options.num_threads = 1;
+  SolverService service(service_options);
+  JobHandle pumping = SubmitPinnedPumpingJob(&service, MakePumpingJob());
+
+  WorkloadOptions options;
+  options.size = 1;
+  JobHandle queued = service.Submit(ReductionSweepWorkload(options)[0]);
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  EXPECT_TRUE(pumping.Cancel());
+  const JobResult r = queued.Wait();
+  EXPECT_EQ(r.status, JobStatus::kCompleted);
+  EXPECT_GT(r.chase_steps + r.candidates_checked, 0u);  // it really ran
+  EXPECT_GE(r.queue_seconds, 0.04);
+  EXPECT_EQ(pumping.Wait().status, JobStatus::kCancelled);
+}
+
 TEST(SolverService, CancelFinishedJobIsAHarmlessNoOp) {
   WorkloadOptions options;
   options.size = 1;
