@@ -4,7 +4,7 @@
 // floods of implication questions that differ only by variable and
 // attribute *names* — millions of user queries collapse onto a much smaller
 // space of problems up to renaming. This module computes that quotient:
-// a canonical text form of (D, D0, solver budgets) that is invariant under
+// a canonical form of (D, D0, solver budgets) that is invariant under
 //
 //   * attribute renaming  — attributes are reduced to their positions, so
 //     schemas {A,B,C} and {X,Y,Z} canonicalize identically;
@@ -24,6 +24,15 @@
 // DeterministicSummary bytes, which is what lets the result cache replay
 // verdicts verbatim. Wall-clock deadlines make runs nondeterministic, so
 // configs carrying one are not cacheable at all (CacheableConfig).
+//
+// The canonical form is a token stream produced by ONE walk over the
+// problem: the dependency count; per dependency its arity, then the body
+// row count and relabeled rows, then the head row count and relabeled
+// rows; the goal marker and D0 the same way; then the 13 config fields.
+// Two sinks consume that walk: FingerprintProblem hashes the tokens as
+// 64-bit words (util/hash.h::Hasher128) without rendering anything, and
+// CanonicalProblemText prints them as text. Sharing the walk is what keeps
+// the two from drifting: equal texts <=> equal fingerprints.
 #ifndef TDLIB_CACHE_CANONICAL_H_
 #define TDLIB_CACHE_CANONICAL_H_
 
@@ -42,13 +51,14 @@ namespace tdlib {
 /// (steps, tuples, nodes, candidates, rounds) trips deterministically.
 bool CacheableConfig(const DualSolverConfig& config);
 
-/// Renders the canonical text form described in the file comment. Exposed
-/// for tests and debugging; the cache itself only ever sees the hash.
+/// Renders the canonical token stream described in the file comment as
+/// line-oriented text. Exposed for tests, debugging and size reporting; the
+/// cache itself only ever sees the hash.
 std::string CanonicalProblemText(const DependencySet& d, const Dependency& d0,
                                  const DualSolverConfig& config);
 
-/// Hashes the canonical form into a 128-bit content address
-/// (util/hash.h::HashBytes128). Returns an INVALID fingerprint when
+/// Hashes the canonical token stream into a 128-bit content address
+/// (util/hash.h::Hasher128). Returns an INVALID fingerprint when
 /// `config` is not cacheable, so callers can gate on `.valid` alone.
 CacheFingerprint FingerprintProblem(const DependencySet& d,
                                     const Dependency& d0,

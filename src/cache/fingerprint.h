@@ -1,8 +1,9 @@
 // Canonical-form fingerprints: the content address of one implication
 // problem.
 //
-// A CacheFingerprint is the 128-bit hash of the canonical form of a job's
-// (D, D0, solver budgets) — see cache/canonical.h. Two jobs that differ only
+// A CacheFingerprint is the 128-bit hash of the canonical token stream of a
+// job's (D, D0, solver budgets), hashed word by word as the canonical walk
+// emits it — see cache/canonical.h. Two jobs that differ only
 // by variable or attribute renaming canonicalize identically and therefore
 // share a fingerprint; the result cache, the in-flight dedup table and
 // (next on the roadmap) the multi-process router's consistent hashing all

@@ -12,7 +12,10 @@ namespace tdlib {
 namespace {
 
 constexpr char kMagic[] = "tdlib-result-cache";
-constexpr int kVersion = 1;
+// Version 2: fingerprints hash the canonical token stream (tag
+// "tdlib-canonical 3"), so no version-1 key can be reached any more; a
+// version-1 file is refused rather than loaded as unreachable entries.
+constexpr int kVersion = 2;
 
 // Upper bound on a plausible entry count: far above any real cache (a
 // 4M-entry cache would model at 1 GiB) and far below anything that could

@@ -8,8 +8,11 @@
 // anything malformed — a damaged warm-start file must degrade to a cold
 // start with a diagnosable error, never to wrong verdicts or a crash
 // (tests/serialization_corrupt_test.cc sweeps single-byte damage over it).
+// The version moves with the fingerprint function: a file written under
+// another version is refused as kCorrupt "unsupported version", since its
+// keys can never match a fingerprint computed now.
 //
-//   tdlib-result-cache 1
+//   tdlib-result-cache 2
 //   <count>
 //   <hi hex> <lo hex> <verdict> <rounds> <steps> <passes> <hom> <match>
 //       <carried> <cands>          (one line per entry, count times)

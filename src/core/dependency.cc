@@ -35,13 +35,14 @@ Result<Dependency> Dependency::Builder::Build() && {
       universal[attr][r[attr]] = true;
     }
   }
-  return Dependency(std::move(body_), std::move(head_), std::move(universal));
+  return Dependency(std::make_shared<const Rep>(
+      Rep{std::move(body_), std::move(head_), std::move(universal)}));
 }
 
 bool Dependency::IsFull() const {
-  for (const Row& r : head_.rows()) {
+  for (const Row& r : head().rows()) {
     for (int attr = 0; attr < schema().arity(); ++attr) {
-      if (!universal_[attr][r[attr]]) return false;
+      if (!rep_->universal[attr][r[attr]]) return false;
     }
   }
   return true;
@@ -50,12 +51,12 @@ bool Dependency::IsFull() const {
 bool Dependency::IsTrivial() const {
   // Trivial iff the head maps into the frozen body while fixing every
   // universal variable (identity on body variables).
-  Instance frozen = body_.Freeze();
-  HomomorphismSearch search(head_, frozen);
-  Valuation initial = Valuation::For(head_);
+  Instance frozen = body().Freeze();
+  HomomorphismSearch search(head(), frozen);
+  Valuation initial = Valuation::For(head());
   for (int attr = 0; attr < schema().arity(); ++attr) {
-    for (int v = 0; v < head_.NumVars(attr); ++v) {
-      if (universal_[attr][v]) initial.Set(attr, v, v);
+    for (int v = 0; v < head().NumVars(attr); ++v) {
+      if (rep_->universal[attr][v]) initial.Set(attr, v, v);
     }
   }
   search.SetInitial(initial);
@@ -81,36 +82,36 @@ std::string Dependency::ToString() const {
     }
     return out;
   };
-  return render(body_) + " => " + render(head_);
+  return render(body()) + " => " + render(head());
 }
 
 std::string Dependency::CheckInvariants() const {
-  if (std::string err = body_.CheckInvariants(); !err.empty()) return err;
-  if (std::string err = head_.CheckInvariants(); !err.empty()) return err;
+  if (std::string err = body().CheckInvariants(); !err.empty()) return err;
+  if (std::string err = head().CheckInvariants(); !err.empty()) return err;
   for (int attr = 0; attr < schema().arity(); ++attr) {
-    if (body_.NumVars(attr) != head_.NumVars(attr)) {
+    if (body().NumVars(attr) != head().NumVars(attr)) {
       return "body/head variable space mismatch";
     }
-    for (int v = 0; v < body_.NumVars(attr); ++v) {
-      if (body_.VarName(attr, v) != head_.VarName(attr, v)) {
+    for (int v = 0; v < body().NumVars(attr); ++v) {
+      if (body().VarName(attr, v) != head().VarName(attr, v)) {
         return "body/head variable name mismatch";
       }
     }
   }
-  if (body_.num_rows() == 0) return "empty body";
-  if (head_.num_rows() == 0) return "empty head";
+  if (body().num_rows() == 0) return "empty body";
+  if (head().num_rows() == 0) return "empty head";
   return "";
 }
 
 Dependency Dependency::RenameVariables(const std::string& suffix) const {
   Builder b(schema_ptr());
   for (int attr = 0; attr < schema().arity(); ++attr) {
-    for (int v = 0; v < body_.NumVars(attr); ++v) {
-      b.Var(attr, body_.VarName(attr, v) + suffix);
+    for (int v = 0; v < body().NumVars(attr); ++v) {
+      b.Var(attr, body().VarName(attr, v) + suffix);
     }
   }
-  for (const Row& r : body_.rows()) b.AddBodyRow(r);
-  for (const Row& r : head_.rows()) b.AddHeadRow(r);
+  for (const Row& r : body().rows()) b.AddBodyRow(r);
+  for (const Row& r : head().rows()) b.AddHeadRow(r);
   Result<Dependency> result = std::move(b).Build();
   // Renaming a valid dependency cannot fail.
   return std::move(result).value();

@@ -15,6 +15,7 @@
 #ifndef TDLIB_CORE_DEPENDENCY_H_
 #define TDLIB_CORE_DEPENDENCY_H_
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -29,22 +30,30 @@ namespace tdlib {
 /// objects carry identical per-attribute variable counts and names. A
 /// variable is *universal* iff it occurs in some body row; all other
 /// variables are existentially quantified in the head.
+///
+/// A Dependency is immutable after Build(), so its body, head and
+/// universality bitmap live in one shared, const representation: copying a
+/// Dependency (into a Job, a DependencySet, a wire message, an in-flight
+/// runner) bumps a reference count instead of copying tableaux, and copies
+/// alias the same storage for as long as any of them lives.
 class Dependency {
  public:
   /// Use DependencyBuilder to construct; this type is immutable after build.
   class Builder;
 
-  const Schema& schema() const { return body_.schema(); }
-  const SchemaPtr& schema_ptr() const { return body_.schema_ptr(); }
+  const Schema& schema() const { return rep_->body.schema(); }
+  const SchemaPtr& schema_ptr() const { return rep_->body.schema_ptr(); }
 
-  const Tableau& body() const { return body_; }
-  const Tableau& head() const { return head_; }
+  const Tableau& body() const { return rep_->body; }
+  const Tableau& head() const { return rep_->head; }
 
   /// True iff this is a template dependency (single conclusion atom).
-  bool IsTd() const { return head_.num_rows() == 1; }
+  bool IsTd() const { return rep_->head.num_rows() == 1; }
 
   /// True iff variable (attr, var) occurs in the body ("universal").
-  bool IsUniversal(int attr, int var) const { return universal_[attr][var]; }
+  bool IsUniversal(int attr, int var) const {
+    return rep_->universal[attr][var];
+  }
 
   /// A dependency is *full* when every head variable is universal (the
   /// paper: "if a*, b*, ..., c* all appear among the antecedents, then the
@@ -68,15 +77,15 @@ class Dependency {
   Dependency RenameVariables(const std::string& suffix) const;
 
  private:
-  Dependency(Tableau body, Tableau head,
-             std::vector<std::vector<bool>> universal)
-      : body_(std::move(body)),
-        head_(std::move(head)),
-        universal_(std::move(universal)) {}
+  struct Rep {
+    Tableau body;
+    Tableau head;
+    std::vector<std::vector<bool>> universal;  // [attr][var]
+  };
 
-  Tableau body_;
-  Tableau head_;
-  std::vector<std::vector<bool>> universal_;  // [attr][var]
+  explicit Dependency(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}
+
+  std::shared_ptr<const Rep> rep_;
 };
 
 /// Incrementally assembles a Dependency. Typical use:

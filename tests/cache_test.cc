@@ -8,15 +8,19 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <map>
+#include <numeric>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cache/fingerprint.h"
 #include "cache/result_cache.h"
 #include "cache/store.h"
+#include "core/generators.h"
 #include "engine/batch_solver.h"
 #include "engine/service.h"
 #include "engine/workload.h"
@@ -26,6 +30,7 @@
 #include "semigroup/normalizer.h"
 #include "semigroup/presentation.h"
 #include "util/metrics.h"
+#include "util/rng.h"
 
 namespace tdlib {
 namespace {
@@ -182,6 +187,238 @@ TEST(Canonical, FuzzGeneratorCasesHaveDistinctFingerprints) {
   }
 }
 
+// ---- Fingerprint vs canonical text ----------------------------------------
+
+// One (D, D0, config) triple of the property test below.
+struct ProblemCase {
+  std::string label;
+  DependencySet d;
+  Dependency d0;
+  DualSolverConfig config;
+};
+
+// Rebuilds `dep` over `schema` with the given body and head rows (in `dep`'s
+// variable ids), keeping its variable space; `new_id[attr][v]` renumbers
+// the ids and `tag` prefixes fresh display names.
+Dependency Rebuild(const Dependency& dep, const SchemaPtr& schema,
+                   const std::vector<std::vector<int>>& new_id,
+                   const std::vector<Row>& body, const std::vector<Row>& head,
+                   const std::string& tag) {
+  const int arity = dep.schema().arity();
+  Dependency::Builder b(schema);
+  for (int attr = 0; attr < arity; ++attr) {
+    for (int v = 0; v < dep.body().NumVars(attr); ++v) {
+      b.Var(attr, tag + std::to_string(attr) + "_" + std::to_string(v));
+    }
+  }
+  auto map_row = [&](const Row& row) {
+    Row out(row.size());
+    for (int attr = 0; attr < arity; ++attr) {
+      out[attr] = new_id[attr][row[attr]];
+    }
+    return out;
+  };
+  for (const Row& row : body) b.AddBodyRow(map_row(row));
+  for (const Row& row : head) b.AddHeadRow(map_row(row));
+  return std::move(b).Build().value();
+}
+
+std::vector<std::vector<int>> IdentityIds(const Dependency& dep) {
+  std::vector<std::vector<int>> ids(dep.schema().arity());
+  for (int attr = 0; attr < dep.schema().arity(); ++attr) {
+    ids[attr].resize(dep.body().NumVars(attr));
+    std::iota(ids[attr].begin(), ids[attr].end(), 0);
+  }
+  return ids;
+}
+
+// An isomorphic copy: fresh attribute, variable and dependency names, and
+// each dependency's variable ids permuted per attribute.
+ProblemCase RenamedCopy(const ProblemCase& source, Rng* rng) {
+  std::vector<std::string> attrs;
+  for (int a = 0; a < source.d0.schema().arity(); ++a) {
+    attrs.push_back("Z" + std::to_string(a));
+  }
+  SchemaPtr schema = MakeSchema(attrs);
+  auto rename = [&](const Dependency& dep) {
+    std::vector<std::vector<int>> ids = IdentityIds(dep);
+    for (std::vector<int>& perm : ids) {
+      for (std::size_t k = perm.size(); k > 1; --k) {
+        std::swap(perm[k - 1], perm[rng->Below(k)]);
+      }
+    }
+    return Rebuild(dep, schema, ids, dep.body().rows(), dep.head().rows(),
+                   "r");
+  };
+  ProblemCase copy{source.label + "/renamed", {}, rename(source.d0),
+                   source.config};
+  for (const Dependency& dep : source.d.items) {
+    copy.d.Add(rename(dep), "renamed");
+  }
+  return copy;
+}
+
+// Joins body rows 0 and 1 of the first dependency that has two distinct
+// ones, on the first attribute where they differ: a non-isomorphic change,
+// since row 1's variable there loses its own first-occurrence label.
+ProblemCase WithOneRowChanged(const ProblemCase& source) {
+  ProblemCase changed = source;
+  changed.label += "/row-changed";
+  for (Dependency& dep : changed.d.items) {
+    if (dep.body().num_rows() < 2) continue;
+    std::vector<Row> body = dep.body().rows();
+    for (int attr = 0; attr < dep.schema().arity(); ++attr) {
+      if (body[0][attr] == body[1][attr]) continue;
+      body[0][attr] = body[1][attr];
+      dep = Rebuild(dep, dep.schema_ptr(), IdentityIds(dep), body,
+                    dep.head().rows(), "c");
+      return changed;
+    }
+  }
+  return changed;
+}
+
+// The thirteen config fields of the canonical form, each changed alone.
+std::vector<DualSolverConfig> ConfigFlips(const DualSolverConfig& base) {
+  std::vector<DualSolverConfig> flips(13, base);
+  flips[0].rounds += 1;
+  flips[1].resume_chase = !base.resume_chase;
+  flips[2].base_chase.max_steps += 1;
+  flips[3].base_chase.max_tuples += 1;
+  flips[4].base_chase.hom_max_nodes += 1;
+  flips[5].base_chase.record_trace = !base.base_chase.record_trace;
+  flips[6].base_chase.eager_goal_check = !base.base_chase.eager_goal_check;
+  flips[7].base_chase.use_delta = !base.base_chase.use_delta;
+  flips[8].base_chase.max_fires_per_pass += 1;
+  flips[9].base_chase.auto_burst = !base.base_chase.auto_burst;
+  flips[10].base_chase.match_slice_ids += 1;
+  flips[11].base_counterexample.max_tuples += 1;
+  flips[12].base_counterexample.max_candidates += 1;
+  return flips;
+}
+
+std::vector<ProblemCase> PropertySources() {
+  std::vector<ProblemCase> sources;
+  Rng rng(20240517);
+  for (int i = 0; i < 8; ++i) {
+    TdGeneratorOptions options;
+    options.arity = 3 + i % 2;
+    options.body_rows = 2 + i % 3;
+    SchemaPtr schema = MakeSchema(options.arity == 3
+                                      ? std::vector<std::string>{"A", "B", "C"}
+                                      : std::vector<std::string>{"A", "B", "C",
+                                                                 "D"});
+    ProblemCase c{"random-" + std::to_string(i), {},
+                  RandomDependency(&rng, options, schema), SmallConfig()};
+    for (int k = 0; k < 3; ++k) {
+      c.d.Add(RandomDependency(&rng, options, schema), "td");
+    }
+    sources.push_back(std::move(c));
+  }
+  WorkloadOptions sweep;
+  sweep.size = 6;
+  for (const Job& job : ReductionSweepWorkload(sweep)) {
+    sources.push_back(
+        ProblemCase{job.name, job.dependencies, job.goal, job.config});
+  }
+  return sources;
+}
+
+TEST(Canonical, FingerprintEqualityMatchesCanonicalTextEquality) {
+  std::vector<ProblemCase> cases;
+  std::size_t distinct = 0;  // cases that must differ from all others
+  Rng rng(7);
+  for (const ProblemCase& source : PropertySources()) {
+    cases.push_back(source);
+    ++distinct;
+    const ProblemCase renamed = RenamedCopy(source, &rng);
+    EXPECT_EQ(CanonicalProblemText(renamed.d, renamed.d0, renamed.config),
+              CanonicalProblemText(source.d, source.d0, source.config))
+        << source.label;
+    cases.push_back(renamed);
+
+    const ProblemCase changed = WithOneRowChanged(source);
+    EXPECT_NE(CanonicalProblemText(changed.d, changed.d0, changed.config),
+              CanonicalProblemText(source.d, source.d0, source.config))
+        << source.label;
+    cases.push_back(changed);
+    ++distinct;
+
+    // Swap the first two premises that are not isomorphic on their own.
+    const std::vector<Dependency>& items = source.d.items;
+    auto alone = [&](const Dependency& dep) {
+      DependencySet one;
+      one.Add(dep);
+      return CanonicalProblemText(one, source.d0, source.config);
+    };
+    for (std::size_t j = 1; j < items.size(); ++j) {
+      if (alone(items[0]) == alone(items[j])) continue;
+      ProblemCase swapped = source;
+      swapped.label += "/swapped";
+      std::swap(swapped.d.items[0], swapped.d.items[j]);
+      EXPECT_NE(CanonicalProblemText(swapped.d, swapped.d0, swapped.config),
+                CanonicalProblemText(source.d, source.d0, source.config))
+          << source.label;
+      cases.push_back(std::move(swapped));
+      ++distinct;
+      break;
+    }
+
+    int field = 0;
+    for (const DualSolverConfig& flipped : ConfigFlips(source.config)) {
+      ProblemCase c = source;
+      c.label += "/config-" + std::to_string(field++);
+      c.config = flipped;
+      EXPECT_NE(CanonicalProblemText(c.d, c.d0, c.config),
+                CanonicalProblemText(source.d, source.d0, source.config))
+          << c.label;
+      cases.push_back(std::move(c));
+      ++distinct;
+    }
+  }
+
+  // Equality of one side implies equality of the other, over every pair:
+  // each text maps to one fingerprint and each fingerprint to one text.
+  std::map<std::string, std::string> fp_of_text;
+  std::map<std::string, std::string> text_of_fp;
+  for (const ProblemCase& c : cases) {
+    const std::string text = CanonicalProblemText(c.d, c.d0, c.config);
+    const CacheFingerprint fp = FingerprintProblem(c.d, c.d0, c.config);
+    ASSERT_TRUE(fp.valid) << c.label;
+    const auto by_text = fp_of_text.emplace(text, fp.ToHex());
+    EXPECT_EQ(by_text.first->second, fp.ToHex())
+        << c.label << ": equal texts, different fingerprints";
+    const auto by_fp = text_of_fp.emplace(fp.ToHex(), text);
+    EXPECT_EQ(by_fp.first->second, text)
+        << c.label << ": equal fingerprints, different texts";
+  }
+  // Every variant but the renamed copies is a problem of its own.
+  EXPECT_EQ(fp_of_text.size(), distinct);
+  EXPECT_EQ(text_of_fp.size(), distinct);
+}
+
+TEST(Canonical, FingerprintLowBitsSpreadOverFuzzCases) {
+  // ResultCache shards and CacheFingerprintHash buckets are taken from the
+  // low bits of fp.lo, so those alone must separate distinct problems.
+  FuzzOptions options;
+  options.cases_per_round = 6;
+  std::set<std::string> texts;
+  std::set<std::uint64_t> low_bits;
+  for (std::uint64_t round = 0; round < 40; ++round) {
+    for (const Job& job : GenerateFuzzCases(options, round)) {
+      const std::string text =
+          CanonicalProblemText(job.dependencies, job.goal, job.config);
+      if (!texts.insert(text).second) continue;  // same problem again
+      low_bits.insert(
+          FingerprintProblem(job.dependencies, job.goal, job.config).lo &
+          0xffffffu);
+    }
+  }
+  ASSERT_GE(texts.size(), 100u);
+  EXPECT_GE(static_cast<double>(low_bits.size()),
+            0.99 * static_cast<double>(texts.size()));
+}
+
 // ---- LRU -------------------------------------------------------------------
 
 CacheFingerprint Fp(std::uint64_t n) {
@@ -302,22 +539,22 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
   ASSERT_FALSE(bad_version.ok());
   EXPECT_EQ(bad_version.code(), ErrorCode::kCorrupt);
 
-  Result<int> absurd_count = load("tdlib-result-cache 1\n99999999999\nend\n");
+  Result<int> absurd_count = load("tdlib-result-cache 2\n99999999999\nend\n");
   ASSERT_FALSE(absurd_count.ok());
   EXPECT_EQ(absurd_count.code(), ErrorCode::kCorrupt);
 
   Result<int> bad_verdict = load(
-      "tdlib-result-cache 1\n1\n"
+      "tdlib-result-cache 2\n1\n"
       "00000000000000aa 00000000000000bb 7 1 2 3 4 5 6 7\nend\n");
   ASSERT_FALSE(bad_verdict.ok());
   EXPECT_EQ(bad_verdict.code(), ErrorCode::kCorrupt);
 
-  Result<int> truncated = load("tdlib-result-cache 1\n2\n"
+  Result<int> truncated = load("tdlib-result-cache 2\n2\n"
                                "00000000000000aa 00000000000000bb 0 1 2 3 4 5 6 7\n");
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.code(), ErrorCode::kCorrupt);
 
-  Result<int> trailing = load("tdlib-result-cache 1\n0\nend\ngarbage\n");
+  Result<int> trailing = load("tdlib-result-cache 2\n0\nend\ngarbage\n");
   ASSERT_FALSE(trailing.ok());
   EXPECT_EQ(trailing.code(), ErrorCode::kCorrupt);
 
@@ -325,6 +562,26 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
                                             &scratch);
   ASSERT_FALSE(missing.ok());
   EXPECT_EQ(missing.code(), ErrorCode::kNotFound);
+}
+
+TEST(ResultCacheStore, RefusesVersionOneFiles) {
+  // Version-1 files were keyed by the previous fingerprint function: no
+  // fingerprint computed now can reach their entries, so they are refused
+  // whole (tdbatch then starts cold) instead of loaded as dead weight.
+  ResultCache cache;
+  std::istringstream in(
+      "tdlib-result-cache 1\n1\n"
+      "00000000000000aa 00000000000000bb 0 1 2 3 4 5 6 7\nend\n");
+  Result<int> loaded = LoadResultCache(in, &cache);
+  ASSERT_FALSE(loaded.ok());
+  EXPECT_EQ(loaded.code(), ErrorCode::kCorrupt);
+  EXPECT_NE(loaded.error().find("unsupported version"), std::string::npos)
+      << loaded.error();
+  EXPECT_EQ(cache.Stats().entries, 0);
+
+  std::stringstream saved;
+  SaveResultCache(saved, cache);
+  EXPECT_EQ(saved.str().rfind("tdlib-result-cache 2\n", 0), 0u);
 }
 
 // ---- Service integration ---------------------------------------------------

@@ -426,6 +426,12 @@ TEST(ClusterRouterTest, HungWorkerIsKilledByHeartbeatAndTheJobRecovers) {
   options.hang_after_jobs = 1;  // worker goes silent after its first job
   options.heartbeat_interval_seconds = 0.04;
   options.heartbeat_timeout_seconds = 0.1;
+  // Each of the 1 + max_restarts worker processes can lose the job it is
+  // running once. Under a sanitizer a restarted worker can miss the 0.1 s
+  // pong window during its own first job as well, so one job may be lost
+  // to every death; retries must cover them all for that job to drain to
+  // the fallback instead of being shed as retries-exhausted.
+  options.max_retries = options.max_restarts + 1;
   ClusterRouter router(options);
 
   const Job first = MakeSmallJob("first");

@@ -1,8 +1,14 @@
 // Tests for Dependency: construction, classification (full/embedded,
-// TD/EID, trivial), renaming and rendering.
+// TD/EID, trivial), renaming, rendering, and the shared immutable
+// representation behind cheap copies.
 #include "core/dependency.h"
 
 #include <gtest/gtest.h>
+
+#include <memory>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "core/parser.h"
 
@@ -112,6 +118,52 @@ TEST(DependencySet, NamesTravelWithItems) {
   set.Add(Fig1(), "fig1");
   EXPECT_EQ(set.items.size(), 1u);
   EXPECT_NE(set.ToString().find("fig1:"), std::string::npos);
+}
+
+// ---- Shared representation -------------------------------------------------
+
+TEST(DependencySharing, CopyAliasesTheSourceStorage) {
+  const Dependency a = Fig1();
+  const Dependency b = a;
+  EXPECT_EQ(&a.body(), &b.body());
+  EXPECT_EQ(&a.head(), &b.head());
+  EXPECT_EQ(&a.schema(), &b.schema());
+}
+
+TEST(DependencySharing, CopyOutlivesItsSource) {
+  auto source = std::make_unique<Dependency>(Fig1());
+  const std::string rendered = source->ToString();
+  const Dependency copy = *source;
+  source.reset();  // the copy alone keeps the representation alive
+  EXPECT_EQ(copy.ToString(), rendered);
+  EXPECT_EQ(copy.CheckInvariants(), "");
+  EXPECT_TRUE(copy.IsTd());
+  EXPECT_FALSE(copy.IsFull());
+  EXPECT_FALSE(copy.IsTrivial());
+  EXPECT_TRUE(copy.IsUniversal(0, 0));
+}
+
+TEST(DependencySharing, ConcurrentCopiesOfOneSetAreRaceFree) {
+  DependencySet set;
+  set.Add(Fig1(), "fig1");
+  set.Add(Fig1().RenameVariables("_r"), "renamed");
+  constexpr int kThreads = 4;
+  constexpr int kCopies = 10000;
+  std::vector<long> rows(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&set, &rows, t] {
+      for (int i = 0; i < kCopies; ++i) {
+        const DependencySet copy = set;
+        for (const Dependency& dep : copy.items) {
+          rows[t] += dep.body().num_rows() + dep.head().num_rows();
+        }
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(rows[t], 6L * kCopies);
+  EXPECT_EQ(set.items[0].ToString(), Fig1().ToString());
 }
 
 }  // namespace
