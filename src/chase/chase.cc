@@ -109,9 +109,9 @@ void ReserveForBudget(Instance* instance, const DependencySet& deps,
 }
 
 // Head-witness checks go through core/satisfaction.h's reusable
-// HeadChecker (search object + seed template built once per dependency
-// stream). Head-witness searches always run against the full instance —
-// the delta restriction applies only to body enumeration.
+// HeadChecker (one index probe per check for a TD head, a seeded search
+// for a multi-row head). Head-witness checks always run against the full
+// instance — the delta restriction applies only to body enumeration.
 
 // Inserts dep's head rows under `h`, inventing labeled nulls for existential
 // variables. Returns ids of newly inserted tuples.
@@ -153,10 +153,9 @@ using PendingStep = PendingChaseStep;
 
 // Carried re-checks are batched: one task re-checks a contiguous chunk of
 // the (canonically ordered) carried list. A gap-regime chase can carry a
-// six-figure backlog, and a task per step would rebuild a head searcher —
-// a dozen allocations — for a two-node search; a chunk amortizes one
-// searcher per dependency run while still producing enough tasks to feed
-// every worker.
+// six-figure backlog, and a task per step would rebuild a head checker for
+// a single probe; a chunk amortizes one checker per dependency run while
+// still producing enough tasks to feed every worker.
 constexpr std::size_t kCarriedChunk = 64;
 
 // One unit of a pass's matching phase: the re-check of one chunk of carried
@@ -217,7 +216,7 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
       }
       if (out->stats.budget_hit) return;
       // One clock read per re-check, unamortized: every re-check runs a
-      // head search too small for Backtrack's own 512-node cadence, and a
+      // head check too small for Backtrack's own 512-node cadence, and a
       // bounded-burst pass with a huge carried backlog would otherwise
       // overshoot the deadline by the entire backlog.
       if (base_options.deadline != nullptr &&
@@ -238,8 +237,8 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
   body_options.delta_seed_end = task.slice_end;
   HomomorphismSearch body_search(dep.body(), instance, body_options);
   // One reusable head checker for the whole body-match stream: this task
-  // runs a head search per enumerated match, and rebuilding the search
-  // object each time would put a dozen allocations on the hot path.
+  // runs a head check per enumerated match, and rebuilding the checker
+  // each time would put allocations on the hot path.
   HeadChecker head(dep, instance, base_options);
   // body_search.row_tuples() is the match's body image, already computed by
   // the backtracker — no per-row FindTuple on the hot path.
@@ -258,7 +257,7 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
     }
     // A sibling's budget trip must stop this task even when its searches
     // are all smaller than Backtrack's own cancel cadence (512 nodes); one
-    // relaxed load per match is noise next to the head search above.
+    // relaxed load per match is noise next to the head check above.
     if (base_options.cancel != nullptr &&
         base_options.cancel->load(std::memory_order_relaxed)) {
       out->stats.budget_hit = true;

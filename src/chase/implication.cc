@@ -5,6 +5,7 @@
 #include <sstream>
 #include <utility>
 
+#include "core/satisfaction.h"
 #include "util/metrics.h"
 
 namespace tdlib {
@@ -106,18 +107,21 @@ Result<ChaseSession> ChaseSession::Deserialize(const SchemaPtr& schema,
 }
 
 ChaseGoal ConclusionGoal(const Dependency& d0, HomSearchOptions options) {
-  return [&d0, options](const Instance& instance) {
-    // The frozen body assigned value id v to universal variable (attr, v);
-    // those ids are stable because the chase only appends values.
-    HomomorphismSearch search(d0.head(), instance, options);
-    Valuation initial = Valuation::For(d0.head());
-    for (int attr = 0; attr < d0.schema().arity(); ++attr) {
-      for (int v = 0; v < d0.head().NumVars(attr); ++v) {
-        if (d0.IsUniversal(attr, v)) initial.Set(attr, v, v);
-      }
-    }
-    search.SetInitial(initial);
-    return search.FindAny(nullptr) == HomSearchStatus::kFound;
+  // The frozen body assigned value id v to universal variable (attr, v);
+  // those ids are stable because the chase only appends values. So the goal
+  // is "the identity body match is witnessed".
+  if (d0.IsTd()) {
+    // One probe per check, its key resolved here: (attr, v) bound to v.
+    return [key = d0.HeadRowUniversals(),
+            max_nodes = options.max_nodes](const Instance& instance) {
+      HomSearchStats stats;
+      return ProbeRow(instance, key, max_nodes, &stats) >= 0;
+    };
+  }
+  return [&d0, options,
+          identity = Valuation::Identity(d0.body())](const Instance& instance) {
+    HomSearchStats stats;
+    return HeadChecker(d0, instance, options).Witnessed(identity, &stats);
   };
 }
 

@@ -2,7 +2,7 @@
 
 #include <sstream>
 
-#include "logic/homomorphism.h"
+#include "core/satisfaction.h"
 
 namespace tdlib {
 
@@ -48,19 +48,24 @@ bool Dependency::IsFull() const {
   return true;
 }
 
-bool Dependency::IsTrivial() const {
-  // Trivial iff the head maps into the frozen body while fixing every
-  // universal variable (identity on body variables).
-  Instance frozen = body().Freeze();
-  HomomorphismSearch search(head(), frozen);
-  Valuation initial = Valuation::For(head());
+std::vector<std::pair<int, int>> Dependency::HeadRowUniversals() const {
+  std::vector<std::pair<int, int>> positions;
+  const Row& row = head().row(0);
   for (int attr = 0; attr < schema().arity(); ++attr) {
-    for (int v = 0; v < head().NumVars(attr); ++v) {
-      if (rep_->universal[attr][v]) initial.Set(attr, v, v);
+    if (rep_->universal[attr][row[attr]]) {
+      positions.emplace_back(attr, row[attr]);
     }
   }
-  search.SetInitial(initial);
-  return search.FindAny(nullptr) == HomSearchStatus::kFound;
+  return positions;
+}
+
+bool Dependency::IsTrivial() const {
+  // Trivial iff the head maps into the frozen body while fixing every
+  // universal variable: the identity body match is already witnessed.
+  Instance frozen = body().Freeze();
+  HomSearchStats stats;
+  return HeadChecker(*this, frozen, HomSearchOptions{})
+      .Witnessed(Valuation::Identity(body()), &stats);
 }
 
 std::string Dependency::ToString() const {

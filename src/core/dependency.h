@@ -17,6 +17,7 @@
 
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "logic/tableau.h"
@@ -54,6 +55,11 @@ class Dependency {
   bool IsUniversal(int attr, int var) const {
     return rep_->universal[attr][var];
   }
+
+  /// The head row's universal positions as (attr, var) pairs in attribute
+  /// order: what a head-witness probe binds (ProbeRow,
+  /// logic/homomorphism.h). TDs only — an EID head has several rows.
+  std::vector<std::pair<int, int>> HeadRowUniversals() const;
 
   /// A dependency is *full* when every head variable is universal (the
   /// paper: "if a*, b*, ..., c* all appear among the antecedents, then the

@@ -5,11 +5,11 @@
 namespace tdlib {
 
 // Pure function of (dep, body_match): no shared scratch buffer or cached
-// result. The parallel chase calls this from concurrent match tasks (one
-// head-witness search per body match), so any future memoization here must
-// be per-caller, never a shared static — a shared seed valuation would be
-// written by every task at once. HeadSeedValuationInto keeps exactly that
-// discipline: the scratch is the CALLER's.
+// result. Concurrent match tasks reach this through their own HeadChecker
+// (one multi-row head search per body match), so any future memoization
+// here must be per-caller, never a shared static — a shared seed valuation
+// would be written by every task at once. HeadSeedValuationInto keeps
+// exactly that discipline: the scratch is the CALLER's.
 void HeadSeedValuationInto(const Dependency& dep, const Valuation& body_match,
                            Valuation* out) {
   out->values.resize(static_cast<std::size_t>(dep.schema().arity()));
@@ -35,27 +35,28 @@ Valuation HeadSeedValuation(const Dependency& dep,
 
 HeadChecker::HeadChecker(const Dependency& dep, const Instance& instance,
                          const HomSearchOptions& options)
-    : search_(dep.head(), instance, options),
-      seed_template_(Valuation::For(dep.head())) {
-  // The universal positions are a property of the dependency; resolving
-  // them once here turns each per-match seed into a column copy plus
-  // |universals| stores (HeadSeedValuation's semantics, minus its
-  // per-variable IsUniversal scan).
-  for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-    for (int v = 0; v < dep.head().NumVars(attr); ++v) {
-      if (dep.IsUniversal(attr, v)) universals_.emplace_back(attr, v);
-    }
+    : dep_(dep), instance_(instance), max_nodes_(options.max_nodes) {
+  // The probe reproduces an unrestricted indexed search; a caller asking
+  // for a delta window or an index-free scan gets that search itself.
+  if (dep.IsTd() && options.use_index && options.delta_begin < 0) {
+    universals_ = dep.HeadRowUniversals();
+    key_ = universals_;
+  } else {
+    search_.emplace(dep.head(), instance, options);
   }
 }
 
 bool HeadChecker::Witnessed(const Valuation& h, HomSearchStats* stats) {
-  seed_ = seed_template_;  // column-wise assign; capacity reused
-  for (auto [attr, var] : universals_) {
-    seed_.values[attr][var] = h.Get(attr, var);
+  if (!search_.has_value()) {
+    for (std::size_t i = 0; i < universals_.size(); ++i) {
+      key_[i].second = h.Get(universals_[i].first, universals_[i].second);
+    }
+    return ProbeRow(instance_, key_, max_nodes_, stats) >= 0;
   }
-  search_.SetInitial(seed_);
-  HomSearchStatus status = search_.FindAny(nullptr);
-  stats->MergeFrom(search_.stats());
+  HeadSeedValuationInto(dep_, h, &seed_);
+  search_->SetInitial(seed_);
+  HomSearchStatus status = search_->FindAny(nullptr);
+  stats->MergeFrom(search_->stats());
   return status == HomSearchStatus::kFound;
 }
 

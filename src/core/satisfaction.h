@@ -43,8 +43,9 @@ struct SatisfactionResult {
 
 /// The standard seed for a head-witness search: a valuation over
 /// `dep.head()`'s variable space with every universal variable bound to its
-/// value in `body_match` and every existential variable left free. Shared by
-/// satisfaction checking and the chase's applicability tests.
+/// value in `body_match` and every existential variable left free. The
+/// general (multi-row) head check searches from it; a TD head probe binds
+/// the same values.
 Valuation HeadSeedValuation(const Dependency& dep, const Valuation& body_match);
 
 /// Allocation-free variant for match streams: writes the seed into *out,
@@ -55,29 +56,40 @@ void HeadSeedValuationInto(const Dependency& dep, const Valuation& body_match,
                            Valuation* out);
 
 /// Head-witness tester for ONE dependency against ONE instance, reusable
-/// across a whole body-match stream: the search object, the seed-valuation
-/// template and the universal-position list are built once, so the
-/// per-match cost is the head search itself — not a dozen vector
-/// allocations. Shared by satisfaction checking and the chase's match/fire
-/// phases. Strictly single-thread like the search it wraps; concurrent
-/// match tasks each own their checker (per-caller scratch, nothing
-/// shared). Reuse is invisible in the counters: the same searches explore
-/// the same nodes. Reads the instance through a reference, so it observes
-/// tuples inserted between calls (the chase's firing phase relies on
-/// this); both referents must outlive the checker.
+/// across a whole body-match stream. What it builds is fixed once, at
+/// construction, by the dependency:
+///  - a TD head is one row, so a witness check is one index probe
+///    (ProbeRow, logic/homomorphism.h) on the head row's universal
+///    positions — no search object, no seed valuation;
+///  - a multi-row (EID) head — or a caller asking for a delta window or an
+///    index-free scan — keeps the backtracking search, seeded per check
+///    through HeadSeedValuationInto into the checker's own scratch.
+/// Either way the counters are exactly those of the general head search,
+/// so the dispatch is invisible in hom_nodes/hom_candidates. Shared by
+/// satisfaction checking and the chase's match/fire phases. Strictly
+/// single-thread; concurrent match tasks each own their checker
+/// (per-caller scratch, nothing shared). Reads the instance through a
+/// reference, so it observes tuples inserted between calls (the chase's
+/// firing phase relies on this); both referents must outlive the checker.
 class HeadChecker {
  public:
   HeadChecker(const Dependency& dep, const Instance& instance,
               const HomSearchOptions& options);
 
   /// True if `h` (a body match for the dependency) extends to its head;
-  /// merges the head search's counters into *stats.
+  /// merges the head check's counters into *stats.
   bool Witnessed(const Valuation& h, HomSearchStats* stats);
 
  private:
-  HomomorphismSearch search_;
-  Valuation seed_template_;  ///< all-unbound head valuation
-  std::vector<std::pair<int, int>> universals_;  ///< (attr, var) to seed
+  Dependency dep_;
+  const Instance& instance_;
+  std::uint64_t max_nodes_;
+  // TD heads: the head row's universal (attr, var) positions, and the probe
+  // key — one (attr, value) per position, refilled from each body match.
+  std::vector<std::pair<int, int>> universals_;
+  std::vector<std::pair<int, int>> key_;
+  // Multi-row heads: the general search and its seed scratch.
+  std::optional<HomomorphismSearch> search_;
   Valuation seed_;
 };
 

@@ -14,6 +14,16 @@ Valuation Valuation::For(const Tableau& t) {
   return v;
 }
 
+Valuation Valuation::Identity(const Tableau& t) {
+  Valuation v = For(t);
+  for (std::vector<int>& column : v.values) {
+    for (std::size_t var = 0; var < column.size(); ++var) {
+      column[var] = static_cast<int>(var);
+    }
+  }
+  return v;
+}
+
 HomomorphismSearch::HomomorphismSearch(const Tableau& source,
                                        const Instance& target,
                                        HomSearchOptions options)
@@ -265,6 +275,54 @@ HomSearchStatus ExistsHomomorphism(const Tableau& source,
                                    HomSearchOptions options) {
   HomomorphismSearch search(source, target, options);
   return search.FindAny(nullptr);
+}
+
+int ProbeRow(const Instance& target,
+             const std::vector<std::pair<int, int>>& bound,
+             std::uint64_t max_nodes, HomSearchStats* stats) {
+  // Node 1: the row. Its candidates are the shortest bound posting list
+  // (RowCandidates' choice), or every tuple when nothing is bound.
+  ++stats->nodes;
+  const std::pair<int, int>* best = nullptr;
+  std::size_t best_size = 0;
+  for (const std::pair<int, int>& b : bound) {
+    const std::size_t size = target.CountWith(b.first, b.second);
+    if (best == nullptr || size < best_size ||
+        (size == best_size && b.first < best->first)) {
+      best = &b;
+      best_size = size;
+    }
+  }
+  // Node 2: the complete match — or the node budget stopping short of it.
+  auto matched = [&](int id) {
+    if (max_nodes == 1) {
+      stats->budget_hit = true;
+      return -1;
+    }
+    ++stats->nodes;
+    return id;
+  };
+  if (best == nullptr) {
+    if (target.NumTuples() == 0) return -1;
+    ++stats->candidates;
+    return matched(0);
+  }
+  const CandidateList list = target.TuplesWith(best->first, best->second);
+  for (IdSpan run : {list.base(), list.tail()}) {
+    for (int id : run) {
+      ++stats->candidates;
+      const TupleRef tuple = target.tuple(id);
+      bool agrees = true;
+      for (const auto& [attr, value] : bound) {
+        if (tuple[attr] != value) {
+          agrees = false;
+          break;
+        }
+      }
+      if (agrees) return matched(id);
+    }
+  }
+  return -1;
 }
 
 HomSearchStatus MapsInto(const Tableau& from, const Tableau& to,

@@ -15,6 +15,13 @@
 // other bound position. A row with no bound position scans the whole id
 // range.
 //
+// One-row probe: a template dependency's head is a single row, and within a
+// typed row no variable repeats, so "is this body match witnessed?" is a
+// partial-match lookup on the row's bound positions. ProbeRow answers it
+// with one scan of the shortest bound posting list — no Valuation, no row
+// bookkeeping — and reports exactly the counters the backtracker would.
+// Multi-row (EID) heads use the backtracker.
+//
 // Delta restriction (semi-naive matching): a search can be confined to one
 // member of the standard semi-naive partition of the delta-touching matches
 // — seed row in the delta, earlier rows in the old region, later rows
@@ -41,6 +48,7 @@
 #include <functional>
 #include <optional>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "logic/instance.h"
@@ -56,6 +64,10 @@ struct Valuation {
 
   /// Creates an all-unbound valuation shaped like `t`'s variable space.
   static Valuation For(const Tableau& t);
+
+  /// Binds every variable (attr, v) of `t`'s variable space to value v:
+  /// the match of `t` onto its own Freeze().
+  static Valuation Identity(const Tableau& t);
 
   int Get(int attr, int var) const { return values[attr][var]; }
   void Set(int attr, int var, int value) { values[attr][var] = value; }
@@ -236,6 +248,23 @@ class HomomorphismSearch {
 HomSearchStatus ExistsHomomorphism(const Tableau& source,
                                    const Instance& target,
                                    HomSearchOptions options = {});
+
+/// Witness probe for a one-row source whose bound positions are `bound`,
+/// given as (attr, value) pairs (value >= 0, at most one pair per
+/// attribute): returns the id of the first tuple agreeing with every pair,
+/// scanning the shortest posting list among them (ties keep the lowest
+/// attribute; base run, then tail), or -1 when none does. With no pair the
+/// answer is the first tuple.
+///
+/// Adds to *stats exactly what FindAny of a HomomorphismSearch over that
+/// row, seeded with `bound`, reports: nodes 1, or 2 on a match; candidates
+/// the scan position of the match, or the list length without one; and,
+/// when max_nodes == 1, a match is a budget stop (budget_hit, returns -1).
+/// A search of two nodes never reaches the deadline/cancel cadence, so the
+/// probe takes neither.
+int ProbeRow(const Instance& target,
+             const std::vector<std::pair<int, int>>& bound,
+             std::uint64_t max_nodes, HomSearchStats* stats);
 
 /// Tableau containment: does `from` map homomorphically into `to` frozen?
 /// (Classic tableau-containment test; used for triviality and equivalence.)

@@ -62,26 +62,13 @@ int EnsureFired(Instance* instance, const Dependency& dep,
     }
   }
 
-  // Is the head already witnessed under this match?
-  HomomorphismSearch head_search(dep.head(), *instance);
-  Valuation initial = Valuation::For(dep.head());
-  for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-    for (int v = 0; v < dep.head().NumVars(attr); ++v) {
-      if (dep.IsUniversal(attr, v)) initial.Set(attr, v, valuation.Get(attr, v));
-    }
-  }
-  head_search.SetInitial(initial);
-  Valuation witness = initial;
-  if (head_search.FindAny(&witness) == HomSearchStatus::kFound) {
-    Tuple t(dep.schema().arity());
-    const Row& head_row = dep.head().row(0);
-    for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-      t[attr] = witness.Get(attr, head_row[attr]);
-    }
-    int id = instance->FindTuple(t);
-    assert(id >= 0);
-    return id;
-  }
+  // Is the head already witnessed under this match? One index probe on the
+  // head row's universal positions answers with the witness's id.
+  std::vector<std::pair<int, int>> key = dep.HeadRowUniversals();
+  for (auto& [attr, value] : key) value = valuation.Get(attr, value);
+  HomSearchStats stats;
+  const int witness = ProbeRow(*instance, key, /*max_nodes=*/0, &stats);
+  if (witness >= 0) return witness;
 
   // Fire: insert the head row, fresh nulls on existential positions.
   Tuple t(dep.schema().arity());
@@ -92,12 +79,11 @@ int EnsureFired(Instance* instance, const Dependency& dep,
                                          : instance->AddValue(attr, "", true);
     t[attr] = val;
   }
+  const int id = static_cast<int>(instance->NumTuples());
   bool added = instance->AddTuple(t);
   assert(added);
   (void)added;
   ++*steps;
-  int id = instance->FindTuple(t);
-  assert(id >= 0);
   return id;
 }
 

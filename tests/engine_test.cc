@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <fstream>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "engine/thread_pool.h"
@@ -195,6 +196,53 @@ TEST(BatchSolver, RandomWorkloadMatchesSerialByteForByte) {
   BatchSummary batch = BatchSolver(pooled).Run(jobs);
 
   EXPECT_EQ(batch.DeterministicSummary(), serial.DeterministicSummary());
+}
+
+// ---- Golden counters ---------------------------------------------------------
+//
+// The parity suites above compare one axis against another in the same
+// build, so a counter drift that hits every axis alike passes them. These
+// literals pin the counters themselves (verdict, rounds, chase steps and
+// passes, hom_nodes, model-search candidates). A change that alters the
+// match phase's work on purpose updates them deliberately — and bumps the
+// result-store version, because cached verdicts carry the same counters.
+
+constexpr char kGoldenSweep[] =
+    "implied/pad0|IMPLIED|1|2|2|935|0\n"
+    "refuted/pad0|REFUTED-FIXPOINT|1|0|1|459|0\n"
+    "gap/pad0|REFUTED-FINITE|1|2000|6|122534|8\n"
+    "implied/pad1|IMPLIED|1|2|2|1334|0\n"
+    "refuted/pad1|REFUTED-FIXPOINT|1|0|1|687|0\n"
+    "gap/pad1|REFUTED-FINITE|1|2000|6|283118|8";
+
+constexpr char kGoldenRandom[] =
+    "random/0|IMPLIED|1|1|1|32|0\n"
+    "random/1|REFUTED-FIXPOINT|1|0|1|27|0\n"
+    "random/2|REFUTED-FIXPOINT|1|0|1|27|0\n"
+    "random/3|REFUTED-FIXPOINT|1|2|2|99|0\n"
+    "random/4|REFUTED-FIXPOINT|1|0|1|27|0\n"
+    "random/5|REFUTED-FIXPOINT|1|0|1|39|0\n"
+    "random/6|IMPLIED|1|2|1|33|0\n"
+    "random/7|IMPLIED|1|1|1|32|0";
+
+void ExpectGolden(const std::vector<Job>& jobs, const std::string& golden) {
+  EXPECT_EQ(RunSerial(jobs).DeterministicSummary(), golden);
+  BatchOptions pooled;
+  pooled.num_threads = 4;
+  EXPECT_EQ(BatchSolver(pooled).Run(jobs).DeterministicSummary(), golden);
+}
+
+TEST(GoldenCounters, ReductionSweep) {
+  WorkloadOptions options;
+  options.size = 6;
+  ExpectGolden(ReductionSweepWorkload(options), kGoldenSweep);
+}
+
+TEST(GoldenCounters, RandomTdBatch) {
+  WorkloadOptions options;
+  options.size = 8;
+  options.seed = 11;
+  ExpectGolden(RandomTdWorkload(options), kGoldenRandom);
 }
 
 TEST(BatchSolver, ResultsArriveInSubmissionOrderDespitePriorities) {
