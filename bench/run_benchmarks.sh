@@ -9,7 +9,7 @@
 #                           [cache-out.json] [cluster-out.json]
 #
 # The build dir must already contain bench/bench_batch_engine,
-# bench/bench_chase, bench/bench_homomorphism and bench/bench_service
+# bench/bench_chase and bench/bench_service
 # (configure with -DTDLIB_BUILD_BENCHMARKS=ON, the default, and build).
 set -euo pipefail
 

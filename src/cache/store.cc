@@ -15,7 +15,10 @@ constexpr char kMagic[] = "tdlib-result-cache";
 // Version 2: fingerprints hash the canonical token stream (tag
 // "tdlib-canonical 3"), so no version-1 key can be reached any more; a
 // version-1 file is refused rather than loaded as unreachable entries.
-constexpr int kVersion = 2;
+// Version 3: the chase matches each pass in dependency waves, so stored
+// hom_nodes (and match_tasks, carried_passes) are no longer what a solve
+// reports; a version-2 file would serve stale counters and is refused.
+constexpr int kVersion = 3;
 
 // Upper bound on a plausible entry count: far above any real cache (a
 // 4M-entry cache would model at 1 GiB) and far below anything that could

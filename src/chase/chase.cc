@@ -6,6 +6,7 @@
 #include <new>
 #include <ostream>
 #include <sstream>
+#include <tuple>
 #include <utility>
 
 #include "core/satisfaction.h"
@@ -111,7 +112,8 @@ void ReserveForBudget(Instance* instance, const DependencySet& deps,
 // Head-witness checks go through core/satisfaction.h's reusable
 // HeadChecker (one index probe per check for a TD head, a seeded search
 // for a multi-row head). Head-witness checks always run against the full
-// instance — the delta restriction applies only to body enumeration.
+// current instance — the delta window and the pass's id cap apply only to
+// body enumeration.
 
 // Inserts dep's head rows under `h`, inventing labeled nulls for existential
 // variables. Returns ids of newly inserted tuples.
@@ -158,7 +160,7 @@ using PendingStep = PendingChaseStep;
 // still producing enough tasks to feed every worker.
 constexpr std::size_t kCarriedChunk = 64;
 
-// One unit of a pass's matching phase: the re-check of one chunk of carried
+// One unit of a wave's matching: the re-check of one chunk of carried
 // steps, or one body search (a full/any-row scan, or one member
 // (dependency, seed row) of the semi-naive partition). Tasks are enumerated
 // in a fixed order, only read the instance, and write nothing but their own
@@ -190,11 +192,13 @@ struct MatchOutput {
 
 // Executes one match task against the read-only `instance`. `base_options`
 // carries the run's node budget, deadline and (in pooled mode) the shared
-// cancel flag. Carried steps are moved out of *carried when still unfired
-// and unwitnessed; distinct tasks touch distinct carried slots.
+// cancel flag; body searches bind only tuple ids below `id_cap` (the pass
+// start), while head checks see the whole current instance. Carried steps
+// are moved out of *carried when still unwitnessed; distinct tasks touch
+// distinct carried slots.
 void RunMatchTask(const MatchTask& task, const DependencySet& deps,
                   const Instance& instance,
-                  const HomSearchOptions& base_options,
+                  const HomSearchOptions& base_options, int id_cap,
                   std::vector<PendingStep>* carried, MatchOutput* out) {
   if (task.kind == MatchTask::Kind::kCarried) {
     // Re-check the chunk in carry order (which is canonical order, so the
@@ -235,6 +239,7 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
   body_options.delta_seed_row = task.delta_seed_row;
   body_options.delta_seed_begin = task.slice_begin;
   body_options.delta_seed_end = task.slice_end;
+  body_options.id_cap = id_cap;
   HomomorphismSearch body_search(dep.body(), instance, body_options);
   // One reusable head checker for the whole body-match stream: this task
   // runs a head check per enumerated match, and rebuilding the checker
@@ -288,84 +293,113 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
   }
 }
 
-// Builds the pass's task list in the canonical task order: carried
-// re-checks first (in carry order), then per-dependency body searches (in
-// dependency order, partition members in seed-row order). The list is a
-// pure function of (config, delta_begin, carried size, instance size), so
-// serial and pooled runs execute the same searches.
-std::vector<MatchTask> BuildMatchTasks(const DependencySet& deps,
-                                       const ChaseConfig& config,
-                                       std::size_t delta_begin,
-                                       std::size_t num_tuples,
-                                       std::size_t num_carried) {
-  std::vector<MatchTask> tasks;
-  for (std::size_t ci = 0; ci < num_carried; ci += kCarriedChunk) {
-    MatchTask t;
-    t.kind = MatchTask::Kind::kCarried;
-    t.carried_begin = ci;
-    t.carried_end = std::min(ci + kCarriedChunk, num_carried);
-    tasks.push_back(t);
+// Appends dependency `di`'s body searches over the pass window
+// [match_begin, pass_start) to *tasks, partition members in seed-row order.
+// A pure function of (config, window), so serial and pooled runs execute
+// the same searches.
+void AppendSearchTasks(const DependencySet& deps, std::size_t di,
+                       const ChaseConfig& config, std::size_t match_begin,
+                       std::size_t pass_start, std::vector<MatchTask>* tasks) {
+  // Nothing new: every match was enumerated in an earlier pass and is
+  // witnessed.
+  if (config.use_delta && match_begin >= pass_start) return;
+  MatchTask t;
+  t.kind = MatchTask::Kind::kSearch;
+  t.dep_index = static_cast<int>(di);
+  if (!config.use_delta || match_begin == 0) {
+    // Naive mode or the first pass: one unrestricted scan.
+    tasks->push_back(t);
+    return;
   }
-  const bool nothing_new = config.use_delta && delta_begin >= num_tuples;
-  if (nothing_new) {
-    // Every match was enumerated in an earlier pass and is witnessed.
-    return tasks;
-  }
+  t.delta_begin = static_cast<int>(match_begin);
   // The partition pays one restricted search per body row; when the delta
   // is most of the instance (a pumping pass), those members cost more
   // together than the full scan they replace. Use the partition only while
   // the delta is the minority — the canonical fire order keeps results
   // identical whichever matcher ran.
-  const bool partition = config.use_delta && delta_begin > 0 &&
-                         (num_tuples - delta_begin) * 2 <= num_tuples;
-  for (std::size_t di = 0; di < deps.items.size(); ++di) {
-    MatchTask t;
-    t.kind = MatchTask::Kind::kSearch;
-    t.dep_index = static_cast<int>(di);
-    if (partition) {
-      // Union of the semi-naive partition: seed row s in the delta, rows
-      // before s in the old region, rows after s unrestricted. Every
-      // delta-touching match is enumerated exactly once; all-old matches —
-      // already enumerated (and fired or witnessed) in the pass that saw
-      // their newest tuple — are skipped entirely.
-      t.delta_begin = static_cast<int>(delta_begin);
-      // Work stealing for few-member passes: a big delta is further cut
-      // into equal id slices of the seed row's window, so even a
-      // 1-dependency pass produces enough sub-tasks to feed every worker.
-      // The slicing depends only on (config, delta) — never on the pool —
-      // so serial and pooled runs execute the same searches.
-      const std::uint64_t delta_size =
-          static_cast<std::uint64_t>(num_tuples - delta_begin);
-      const bool sliced = config.match_slice_ids > 0 &&
-                          delta_size > config.match_slice_ids;
-      for (int s = 0; s < deps.items[di].body().num_rows(); ++s) {
-        t.delta_seed_row = s;
-        if (!sliced) {
-          tasks.push_back(t);
-          continue;
-        }
-        for (std::size_t lo = delta_begin; lo < num_tuples;
-             lo += config.match_slice_ids) {
-          MatchTask slice = t;
-          slice.slice_begin = static_cast<int>(lo);
-          slice.slice_end = static_cast<int>(
-              std::min<std::size_t>(lo + config.match_slice_ids, num_tuples));
-          tasks.push_back(slice);
-        }
-      }
-    } else if (config.use_delta && delta_begin > 0) {
-      // Majority delta: one pruned scan ("any row hits the delta") — never
-      // more nodes than naive, and the all-old matches' head checks are
-      // still skipped.
-      t.delta_begin = static_cast<int>(delta_begin);
-      t.delta_seed_row = -1;
-      tasks.push_back(t);
-    } else {
-      // Naive mode or the first pass: one unrestricted scan.
-      tasks.push_back(t);
+  if ((pass_start - match_begin) * 2 > pass_start) {
+    // Majority delta: one pruned scan ("any row hits the delta") — never
+    // more nodes than naive, and the all-old matches' head checks are
+    // still skipped.
+    tasks->push_back(t);
+    return;
+  }
+  // Union of the semi-naive partition: seed row s in the delta, rows
+  // before s in the old region, rows after s unrestricted. Every
+  // delta-touching match is enumerated exactly once; all-old matches —
+  // already enumerated (and fired or witnessed) in the pass that saw their
+  // newest tuple — are skipped entirely.
+  //
+  // Work stealing for few-member passes: a big delta is further cut into
+  // equal id slices of the seed row's window, so even a 1-dependency pass
+  // produces enough sub-tasks to feed every worker. The slicing depends
+  // only on (config, delta) — never on the pool.
+  const std::uint64_t delta_size =
+      static_cast<std::uint64_t>(pass_start - match_begin);
+  const bool sliced =
+      config.match_slice_ids > 0 && delta_size > config.match_slice_ids;
+  for (int s = 0; s < deps.items[di].body().num_rows(); ++s) {
+    t.delta_seed_row = s;
+    if (!sliced) {
+      tasks->push_back(t);
+      continue;
+    }
+    for (std::size_t lo = match_begin; lo < pass_start;
+         lo += config.match_slice_ids) {
+      MatchTask slice = t;
+      slice.slice_begin = static_cast<int>(lo);
+      slice.slice_end = static_cast<int>(
+          std::min<std::size_t>(lo + config.match_slice_ids, pass_start));
+      tasks->push_back(slice);
     }
   }
-  return tasks;
+}
+
+// A pass matches and fires its dependencies in waves: whole dependencies
+// in canonical order, each wave adding dependencies until it holds at
+// least this many body-search tasks. Sixteen keeps a 4-thread pool busy
+// (four tasks per worker, so one long member search does not idle the
+// rest) while a wave stays a small slice of a wide dependency set — the
+// pass that spends the step budget stops at most one wave past the
+// dependency whose fire spends the last step. A constant, never the pool
+// width: wave boundaries, and with them every counter, are the same
+// serially and at any thread count.
+constexpr std::size_t kWaveTasks = 16;
+
+// Builds the wave that starts at dependency `first_dep`: the re-checks of
+// the carried steps of its dependencies (carried[*carried_pos, end), in
+// chunks, in carry order) followed by its body searches. Returns the first
+// dependency after the wave and advances *carried_pos past its share.
+// Wave boundaries depend only on (deps, config, window).
+std::size_t BuildWave(const DependencySet& deps, const ChaseConfig& config,
+                      std::size_t match_begin, std::size_t pass_start,
+                      std::size_t first_dep,
+                      const std::vector<PendingStep>& carried,
+                      std::size_t* carried_pos,
+                      std::vector<MatchTask>* tasks) {
+  std::vector<MatchTask> searches;
+  std::size_t end = first_dep;
+  while (end < deps.items.size() &&
+         (end == first_dep || searches.size() < kWaveTasks)) {
+    AppendSearchTasks(deps, end, config, match_begin, pass_start, &searches);
+    ++end;
+  }
+  std::size_t carried_end = *carried_pos;
+  while (carried_end < carried.size() &&
+         static_cast<std::size_t>(carried[carried_end].dep_index) < end) {
+    ++carried_end;
+  }
+  tasks->clear();
+  for (std::size_t ci = *carried_pos; ci < carried_end; ci += kCarriedChunk) {
+    MatchTask t;
+    t.kind = MatchTask::Kind::kCarried;
+    t.carried_begin = ci;
+    t.carried_end = std::min(ci + kCarriedChunk, carried_end);
+    tasks->push_back(t);
+  }
+  tasks->insert(tasks->end(), searches.begin(), searches.end());
+  *carried_pos = carried_end;
+  return end;
 }
 
 }  // namespace
@@ -423,23 +457,35 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     return FaultInjectionEnabled() && ShouldInject(site);
   };
 
-  // Tuples with id >= delta_begin are "new" since the previous matching
-  // phase. 0 on the first pass, so pass 1 matches the whole seed instance
-  // in either mode.
+  // Tuples with id >= delta_begin are "new" since the previous pass's
+  // matching window closed. 0 on the first pass, so pass 1 matches the
+  // whole seed instance in either mode.
   std::size_t delta_begin = 0;
 
-  // Steps collected but not fired under max_fires_per_pass (delta mode
-  // only; the naive full re-match re-discovers them instead). Every entry
-  // touches a tuple that is old by now, so the delta enumeration below
-  // would never see it again.
+  // Steps an earlier pass's burst cap left unfired (delta mode only; the
+  // naive full re-match re-discovers them instead), in canonical order.
+  // Every entry touches a tuple that is old by now, so the delta
+  // enumeration below would never see it again. The current pass re-checks
+  // `carried` wave by wave — carried_pos is the first entry not yet taken
+  // up — and fills next_carried for the pass after it.
   std::vector<PendingStep> carried;
+  std::size_t carried_pos = 0;
+  std::vector<PendingStep> next_carried;
 
-  // The firing phase below runs over these; hoisted out of the loop so a
-  // checkpoint resume can re-enter the phase mid-pass. pass_fire_cap is the
-  // CURRENT pass's effective burst cap — config.max_fires_per_pass unless
-  // auto_burst retunes it at each matching phase (and a resume restores the
+  // The current pass's cursor, hoisted out of the loop so a checkpoint
+  // resume can re-enter the pass between two fires of a wave. The pass's
+  // body searches bind tuple ids below pass_start, the delta being
+  // [match_begin, pass_start); next_dep is the first dependency not yet
+  // matched; pending[pending_pos, end) is the current wave's unfired tail.
+  // pass_fire_cap is the pass's effective burst cap — config.max_fires_per_
+  // pass unless auto_burst retunes it at pass start (a resume restores the
   // interrupted pass's value from the checkpoint).
+  std::size_t match_begin = 0;
+  std::size_t pass_start = 0;
+  std::size_t next_dep = 0;
   std::vector<PendingStep> pending;
+  std::size_t pending_pos = 0;
+  bool pass_found_steps = false;
   std::uint64_t fired_this_pass = 0;
   std::uint64_t pass_fire_cap = config.max_fires_per_pass;
   bool resuming = false;
@@ -457,14 +503,19 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       result.status = ChaseStatus::kCancelled;
       return result;
     }
-    // Continue the interrupted firing phase: the caller restored (or kept)
-    // the instance the checkpoint was taken against and verified
+    // Continue the interrupted pass: the caller restored (or kept) the
+    // instance the checkpoint was taken against and verified
     // ResumableWith. Counters continue, so the eventual ChaseResult is the
     // one an uninterrupted run would have produced.
-    delta_begin = checkpoint->delta_begin;
+    match_begin = checkpoint->match_begin;
+    pass_start = checkpoint->pass_start;
+    next_dep = checkpoint->next_dep;
     fired_this_pass = checkpoint->fired_this_pass;
     pass_fire_cap = checkpoint->fire_cap_this_pass;
     pending = std::move(checkpoint->pending);
+    carried = std::move(checkpoint->carried);
+    // A checkpoint is only taken with a step in hand.
+    pass_found_steps = true;
     result.steps = checkpoint->steps;
     result.passes = checkpoint->passes;
     result.hom_nodes = checkpoint->hom_nodes;
@@ -486,9 +537,12 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
   }
 
   // Captures the resumable state right before a kStepLimit / kTupleLimit
-  // return: the not-yet-fired tail of the pending list plus the cumulative
-  // counters (result already includes the firing phase's hom nodes by the
-  // time this runs).
+  // return: the pass cursor, the current wave's unfired tail from
+  // `next_index`, the carried steps of the waves not yet matched, and the
+  // cumulative counters (result already includes the wave's firing-phase
+  // hom nodes by the time this runs). The burst cap stops firing for the
+  // rest of the pass, so no stop that checkpoints comes after it: the
+  // pass's next_carried is always empty here.
   auto take_checkpoint = [&](std::size_t next_index) {
     if (checkpoint == nullptr) return;
     // A cancel racing the capture wins: the run is already stopping, and
@@ -504,13 +558,19 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     ScopedTimer accumulate(&result.checkpoint_seconds);
     checkpoint->Reset();
     checkpoint->valid = true;
-    checkpoint->delta_begin = delta_begin;
+    checkpoint->match_begin = match_begin;
+    checkpoint->pass_start = pass_start;
+    checkpoint->next_dep = next_dep;
     checkpoint->fired_this_pass = fired_this_pass;
     checkpoint->fire_cap_this_pass = pass_fire_cap;
     checkpoint->pending.assign(
         std::make_move_iterator(pending.begin() +
                                 static_cast<std::ptrdiff_t>(next_index)),
         std::make_move_iterator(pending.end()));
+    checkpoint->carried.assign(
+        std::make_move_iterator(carried.begin() +
+                                static_cast<std::ptrdiff_t>(carried_pos)),
+        std::make_move_iterator(carried.end()));
     checkpoint->steps = result.steps;
     checkpoint->passes = result.passes;
     checkpoint->hom_nodes = result.hom_nodes;
@@ -526,190 +586,180 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     }
   };
 
-  while (true) {
-    if (resuming) {
-      // Skip the matching phase once: `pending` already holds the
-      // interrupted pass's unfired steps in canonical order.
-      resuming = false;
+  auto cap_reached = [&] {
+    return pass_fire_cap > 0 && fired_this_pass >= pass_fire_cap;
+  };
+
+  // ---- Matching a wave: read-only over the current instance --------------
+  //
+  // Body searches bind only ids below pass_start, so every wave of the pass
+  // enumerates the matches the pass-start instance offers, exactly as if
+  // the whole pass were matched up front. Head checks look at the CURRENT
+  // instance: a step an earlier wave's fires have witnessed is dropped here
+  // rather than at its own fire, where the re-check would skip it anyway.
+  // The task list, and hence the set of searches, is identical in serial
+  // and pooled mode; only where each search runs differs. Returns false
+  // when the run stops (result.status set).
+  auto match_wave = [&]() -> bool {
+    // Phase observation only: the span/watch read the clock (when armed)
+    // and publish when the phase ends; nothing below consults them.
+    TraceSpan match_span("chase.match");
+    StopWatch match_watch;
+    if (cancelled()) {
+      result.status = ChaseStatus::kCancelled;
+      return false;
+    }
+    std::vector<MatchTask> tasks;
+    next_dep = BuildWave(deps, config, match_begin, pass_start, next_dep,
+                         carried, &carried_pos, &tasks);
+    std::vector<MatchOutput> outputs(tasks.size());
+    result.match_tasks += tasks.size();
+    const int id_cap = static_cast<int>(pass_start);
+
+    if (config.pool != nullptr && tasks.size() > 1) {
+      // Fan out. Tasks write only their own output slot; a budget/deadline
+      // trip in any task raises the shared cancel flag so sibling searches
+      // wind down instead of completing doomed work.
+      std::atomic<bool> cancel{false};
+      HomSearchOptions task_options = hom_options;
+      task_options.cancel = &cancel;
+      ParallelFor(
+          config.pool, tasks.size(),
+          [&](std::size_t i) {
+            // The wave is already doomed once any sibling tripped; skipping
+            // outright (like the serial early break below) only changes
+            // budget-tripped runs, which are outside the parity guarantee.
+            if (cancel.load(std::memory_order_relaxed)) return;
+            RunMatchTask(tasks[i], deps, *instance, task_options, id_cap,
+                         &carried, &outputs[i]);
+            if (outputs[i].stats.budget_hit) {
+              cancel.store(true, std::memory_order_relaxed);
+            }
+          },
+          kMatchTaskPriority);
     } else {
-      ++result.passes;
-      if (!carried.empty()) ++result.carried_passes;
-      // Phase observation only: the span/watch read the clock (when armed)
-      // and publish when the phase ends; nothing below consults them.
-      TraceSpan match_span("chase.match");
-      StopWatch match_watch;
-      std::size_t pass_start = instance->NumTuples();
-      if (cancelled() || injected(FaultSite::kCancelMatch)) {
-        result.status = ChaseStatus::kCancelled;
-        return result;
+      for (std::size_t i = 0; i < tasks.size(); ++i) {
+        RunMatchTask(tasks[i], deps, *instance, hom_options, id_cap, &carried,
+                     &outputs[i]);
+        if (outputs[i].stats.budget_hit) break;  // remaining work is doomed
       }
-
-      // ---- Matching phase: read-only over the pass-start instance --------
-      //
-      // The task list, and hence the set of searches, is identical in serial
-      // and pooled mode; only where each search runs differs. The collected
-      // valuations stay valid as tuples are only ever added.
-      std::vector<MatchTask> tasks = BuildMatchTasks(deps, config, delta_begin,
-                                                     pass_start,
-                                                     carried.size());
-      std::vector<MatchOutput> outputs(tasks.size());
-      result.match_tasks += tasks.size();
-
-      if (config.pool != nullptr && tasks.size() > 1) {
-        // Fan out. Tasks write only their own output slot; a budget/deadline
-        // trip in any task raises the shared cancel flag so sibling searches
-        // wind down instead of completing doomed work.
-        std::atomic<bool> cancel{false};
-        HomSearchOptions task_options = hom_options;
-        task_options.cancel = &cancel;
-        ParallelFor(
-            config.pool, tasks.size(),
-            [&](std::size_t i) {
-              // The pass is already doomed once any sibling tripped; skipping
-              // outright (like the serial early break below) only changes
-              // budget-tripped runs, which are outside the parity guarantee.
-              if (cancel.load(std::memory_order_relaxed)) return;
-              RunMatchTask(tasks[i], deps, *instance, task_options, &carried,
-                           &outputs[i]);
-              if (outputs[i].stats.budget_hit) {
-                cancel.store(true, std::memory_order_relaxed);
-              }
-            },
-            kMatchTaskPriority);
-      } else {
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-          RunMatchTask(tasks[i], deps, *instance, hom_options, &carried,
-                       &outputs[i]);
-          if (outputs[i].stats.budget_hit) break;  // remaining work is doomed
-        }
-      }
-      carried.clear();
-
-      // Aggregate per-task stats — the explicit sum-after-join that keeps
-      // HomSearchStats search-local (no shared counters between live
-      // searches).
-      HomSearchStats match_stats;
-      for (const MatchOutput& out : outputs) match_stats.MergeFrom(out.stats);
-      result.hom_nodes += match_stats.nodes;
-      result.hom_candidates += match_stats.candidates;
-      // Publish the phase: one timing read + a handful of gated counter
-      // adds, after the deterministic work is complete. Sits before the
-      // budget-trip returns so every matching phase — including a tripped
-      // one — is accounted exactly once.
-      const double match_elapsed = match_watch.ElapsedSeconds();
-      result.match_seconds += match_elapsed;
-      if (MetricsEnabled()) {
-        ChaseMetrics& m = GetChaseMetrics();
-        m.passes->Add(1);
-        m.match_tasks->Add(static_cast<std::int64_t>(tasks.size()));
-        m.hom_nodes->Add(static_cast<std::int64_t>(match_stats.nodes));
-        m.hom_candidates->Add(
-            static_cast<std::int64_t>(match_stats.candidates));
-        m.match_seconds->Observe(match_elapsed);
-      }
-      if (match_stats.budget_hit) {
-        result.status = limit_status(match_stats);
-        return result;
-      }
-      if (deadline.Expired()) {
-        result.status = ChaseStatus::kTimeout;
-        return result;
-      }
-
-      // Burst auto-tune: decide this pass's fire cap from the growth the
-      // previous pass produced, while delta_begin still marks it. A
-      // majority-delta pass is geometric pumping — nearly every pending
-      // step is genuinely new, so capping would only grow the carried
-      // backlog — and runs uncapped; flat growth gets the bounded-burst
-      // regime. Pure function of (delta, instance size): deterministic at
-      // any thread count, and the checkpoint records the chosen cap.
-      pass_fire_cap = config.max_fires_per_pass;
-      if (config.auto_burst) {
-        const std::size_t growth = pass_start - delta_begin;
-        const bool pumping = growth * 2 >= pass_start;
-        pass_fire_cap = pumping ? 0
-                                : (config.max_fires_per_pass > 0
-                                       ? config.max_fires_per_pass
-                                       : kAutoBurstCap);
-      }
-
-      // Every dependency has now been matched against the first `pass_start`
-      // tuples; the next pass only needs to see what the fires below add.
-      delta_begin = pass_start;
-
-      // Merge the per-task buffers. Task order is canonical, but the
-      // sort+merge below is what actually fixes the fire order: entries
-      // with equal (dep_index, row_ids) are fully identical (the body image
-      // determines the valuation), so the merge order cannot leak into the
-      // result.
-      std::size_t total_pending = 0;
-      std::size_t carried_prefix = 0;
-      for (std::size_t i = 0; i < outputs.size(); ++i) {
-        total_pending += outputs[i].pending.size();
-        if (tasks[i].kind == MatchTask::Kind::kCarried) {
-          carried_prefix += outputs[i].pending.size();
-        }
-      }
-      pending.clear();
-      pending.reserve(total_pending);
-      for (MatchOutput& out : outputs) {
-        for (PendingStep& step : out.pending) {
-          pending.push_back(std::move(step));
-        }
-      }
-
-      if (pending.empty()) {
-        result.status = ChaseStatus::kFixpoint;
-        return result;
-      }
-
-      // Fire in canonical (dependency, body image) order. Decoupling the
-      // fire order from enumeration order is what makes the result —
-      // including the ids of invented nulls — a function of the *set* of
-      // applicable steps, identical across matching strategies and thread
-      // counts. The carried re-checks (a prefix of the task list) kept
-      // their steps in canonical order already, so only the freshly
-      // enumerated tail needs the O(n log n) sort; a gap-regime pass with a
-      // six-figure carried backlog and a handful of new matches pays one
-      // linear merge instead of re-sorting the whole backlog.
-      // FaultSite::kFireOrderFlip is the harness's deliberate bug: it
-      // reverses the body-image ordering for this pass's sort, exactly the
-      // kind of one-comparison mistake the differential fuzzer exists to
-      // catch (flipped fire order changes labeled-null invention order,
-      // which diverges the instance bytes). Evaluated once per pass — a
-      // strict weak ordering must not change mid-sort.
-      const bool flip_order = injected(FaultSite::kFireOrderFlip);
-      auto canonical = [flip_order](const PendingStep& a,
-                                    const PendingStep& b) {
-        if (a.dep_index != b.dep_index) {
-          return a.dep_index < b.dep_index;
-        }
-        return flip_order ? b.row_ids < a.row_ids : a.row_ids < b.row_ids;
-      };
-      if (flip_order) {
-        // The carried prefix was stored under the true ordering; a full
-        // re-sort keeps inplace_merge's sorted-halves precondition out of
-        // the picture while the injected comparator is live.
-        std::sort(pending.begin(), pending.end(), canonical);
-      } else {
-        std::sort(pending.begin() +
-                      static_cast<std::ptrdiff_t>(carried_prefix),
-                  pending.end(), canonical);
-        std::inplace_merge(pending.begin(),
-                           pending.begin() +
-                               static_cast<std::ptrdiff_t>(carried_prefix),
-                           pending.end(), canonical);
-      }
-      fired_this_pass = 0;
     }
 
-    // ---- Firing phase: serial, on the calling thread ---------------------
+    // Aggregate per-task stats — the explicit sum-after-join that keeps
+    // HomSearchStats search-local (no shared counters between live
+    // searches).
+    HomSearchStats match_stats;
+    for (const MatchOutput& out : outputs) match_stats.MergeFrom(out.stats);
+    result.hom_nodes += match_stats.nodes;
+    result.hom_candidates += match_stats.candidates;
+    // Publish the phase: one timing read + a handful of gated counter
+    // adds, after the deterministic work is complete. Sits before the
+    // budget-trip returns so every wave — including a tripped one — is
+    // accounted exactly once.
+    const double match_elapsed = match_watch.ElapsedSeconds();
+    result.match_seconds += match_elapsed;
+    if (MetricsEnabled()) {
+      ChaseMetrics& m = GetChaseMetrics();
+      m.match_tasks->Add(static_cast<std::int64_t>(tasks.size()));
+      m.hom_nodes->Add(static_cast<std::int64_t>(match_stats.nodes));
+      m.hom_candidates->Add(static_cast<std::int64_t>(match_stats.candidates));
+      m.match_seconds->Observe(match_elapsed);
+    }
+    if (match_stats.budget_hit) {
+      result.status = limit_status(match_stats);
+      return false;
+    }
+    if (deadline.Expired()) {
+      result.status = ChaseStatus::kTimeout;
+      return false;
+    }
+
+    // Merge the per-task buffers. Task order is canonical, but the
+    // sort+merge below is what actually fixes the fire order: entries
+    // with equal (dep_index, row_ids) are fully identical (the body image
+    // determines the valuation), so the merge order cannot leak into the
+    // result.
+    std::size_t total_pending = 0;
+    std::size_t carried_prefix = 0;
+    for (std::size_t i = 0; i < outputs.size(); ++i) {
+      total_pending += outputs[i].pending.size();
+      if (tasks[i].kind == MatchTask::Kind::kCarried) {
+        carried_prefix += outputs[i].pending.size();
+      }
+    }
+    pending.clear();
+    pending_pos = 0;
+    pending.reserve(total_pending);
+    for (MatchOutput& out : outputs) {
+      for (PendingStep& step : out.pending) {
+        pending.push_back(std::move(step));
+      }
+    }
+    if (pending.empty()) return true;
+    pass_found_steps = true;
+
+    // Fire in canonical (dependency, body image) order. Decoupling the
+    // fire order from enumeration order is what makes the result —
+    // including the ids of invented nulls — a function of the *set* of
+    // applicable steps, identical across matching strategies and thread
+    // counts; waves cover whole dependencies in dependency order, so
+    // firing wave after wave is firing the whole pass in that order. The
+    // carried re-checks (a prefix of the wave's tasks) kept their steps in
+    // canonical order already, so only the freshly enumerated tail needs
+    // the O(n log n) sort; a gap-regime pass with a six-figure carried
+    // backlog and a handful of new matches pays one linear merge instead
+    // of re-sorting the whole backlog.
+    // FaultSite::kFireOrderFlip is the harness's deliberate bug: it
+    // reverses the body-image ordering for this wave's sort, exactly the
+    // kind of one-comparison mistake the differential fuzzer exists to
+    // catch (flipped fire order changes labeled-null invention order,
+    // which diverges the instance bytes). Evaluated once per wave — a
+    // strict weak ordering must not change mid-sort.
+    const bool flip_order = injected(FaultSite::kFireOrderFlip);
+    auto canonical = [flip_order](const PendingStep& a,
+                                  const PendingStep& b) {
+      if (a.dep_index != b.dep_index) {
+        return a.dep_index < b.dep_index;
+      }
+      return flip_order ? b.row_ids < a.row_ids : a.row_ids < b.row_ids;
+    };
+    if (flip_order) {
+      // The carried prefix was stored under the true ordering; a full
+      // re-sort keeps inplace_merge's sorted-halves precondition out of
+      // the picture while the injected comparator is live.
+      std::sort(pending.begin(), pending.end(), canonical);
+    } else {
+      std::sort(pending.begin() + static_cast<std::ptrdiff_t>(carried_prefix),
+                pending.end(), canonical);
+      std::inplace_merge(pending.begin(),
+                         pending.begin() +
+                             static_cast<std::ptrdiff_t>(carried_prefix),
+                         pending.end(), canonical);
+    }
+    if (cap_reached()) {
+      // The burst cap already stopped this pass's fires: the wave's steps
+      // wait for the next pass (delta mode only reaches here; the naive
+      // matcher stops matching at the cap and re-finds them).
+      next_carried.insert(next_carried.end(),
+                          std::make_move_iterator(pending.begin()),
+                          std::make_move_iterator(pending.end()));
+      pending.clear();
+    }
+    return true;
+  };
+
+  // ---- Firing a wave: serial, on the calling thread ----------------------
+  //
+  // Fires pending[pending_pos, end). Returns false when the run stops
+  // (result.status set).
+  auto fire_wave = [&]() -> bool {
+    if (pending_pos >= pending.size()) return true;
     HomSearchStats fire_stats;
     TraceSpan fire_span("chase.fire");
     StopWatch fire_watch;
     const std::uint64_t steps_at_fire_start = result.steps;
-    // Every early exit below must fold the firing phase's search counters
-    // (and, riding the same guarantee, its wall time and metrics) into the
+    // Every exit below must fold the firing phase's search counters (and,
+    // riding the same guarantee, its wall time and metrics) into the
     // result exactly once; one flush helper keeps the next exit branch from
     // forgetting a counter. Called exactly once per firing-phase exit.
     auto flush_fire_stats = [&] {
@@ -732,15 +782,19 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     // and therefore sees every tuple the intervening fires insert.
     std::optional<HeadChecker> fire_head;
     int fire_head_dep = -1;
-    for (std::size_t pi = 0; pi < pending.size(); ++pi) {
-      if (pass_fire_cap > 0 && fired_this_pass >= pass_fire_cap) {
-        // Burst cap: the rest of the pending set waits for the next pass.
-        // The naive full re-match will re-discover it; the delta matcher
-        // would not (every entry is old by then), so stash it.
+    for (; pending_pos < pending.size(); ++pending_pos) {
+      const std::size_t pi = pending_pos;
+      if (cap_reached()) {
+        // Burst cap: the rest of the pass waits for the next one. The
+        // naive full re-match will re-discover it; the delta matcher would
+        // not (every entry is old by then), so stash it.
         if (config.use_delta) {
-          carried.assign(std::make_move_iterator(pending.begin() + pi),
-                         std::make_move_iterator(pending.end()));
+          next_carried.insert(next_carried.end(),
+                              std::make_move_iterator(pending.begin() + pi),
+                              std::make_move_iterator(pending.end()));
         }
+        pending.clear();
+        pending_pos = 0;
         break;
       }
       if (cancelled() || injected(FaultSite::kCancelFire)) {
@@ -749,7 +803,7 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         // caller asked the job to die, not to pause deterministically.
         flush_fire_stats();
         result.status = ChaseStatus::kCancelled;
-        return result;
+        return false;
       }
       // Graceful degradation for allocation failure: the between-fire
       // boundary is the one place the instance is in a well-defined state
@@ -761,7 +815,7 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         flush_fire_stats();
         result.status = ChaseStatus::kResourceExhausted;
         take_checkpoint(pi);
-        return result;
+        return false;
       }
       PendingStep& step = pending[pi];
       const Dependency& dep = deps.items[step.dep_index];
@@ -769,7 +823,7 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         fire_head.emplace(dep, *instance, hom_options);
         fire_head_dep = step.dep_index;
       }
-      // An earlier fire in this pass may have witnessed this head already.
+      // An earlier fire in this wave may have witnessed this head already.
       bool witnessed = false;
       std::vector<int> new_ids;
       try {
@@ -786,12 +840,12 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
         flush_fire_stats();
         result.status = ChaseStatus::kResourceExhausted;
         take_checkpoint(pi);
-        return result;
+        return false;
       }
       if (fire_stats.budget_hit) {
         flush_fire_stats();
         result.status = limit_status(fire_stats);
-        return result;
+        return false;
       }
       if (witnessed) continue;
       ++result.steps;
@@ -803,28 +857,89 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       if (config.eager_goal_check && goal && goal(*instance)) {
         flush_fire_stats();
         result.status = ChaseStatus::kGoal;
-        return result;
+        return false;
       }
       if (config.max_steps > 0 && result.steps >= config.max_steps) {
         flush_fire_stats();
         result.status = ChaseStatus::kStepLimit;
         take_checkpoint(pi + 1);
-        return result;
+        return false;
       }
       if (config.max_tuples > 0 && instance->NumTuples() >= config.max_tuples) {
         flush_fire_stats();
         result.status = ChaseStatus::kTupleLimit;
         take_checkpoint(pi + 1);
-        return result;
+        return false;
       }
       if (deadline.Expired()) {
         flush_fire_stats();
         result.status = ChaseStatus::kTimeout;
-        return result;
+        return false;
       }
     }
     flush_fire_stats();
+    return true;
+  };
 
+  while (true) {
+    if (resuming) {
+      // Re-enter the interrupted pass: the cursor and the wave's unfired
+      // tail came from the checkpoint.
+      resuming = false;
+    } else {
+      ++result.passes;
+      if (!carried.empty()) ++result.carried_passes;
+      if (cancelled() || injected(FaultSite::kCancelMatch)) {
+        result.status = ChaseStatus::kCancelled;
+        return result;
+      }
+      match_begin = delta_begin;
+      pass_start = instance->NumTuples();
+      next_dep = 0;
+      pending.clear();
+      pending_pos = 0;
+      pass_found_steps = false;
+      fired_this_pass = 0;
+      // Burst auto-tune: decide this pass's fire cap from the growth the
+      // previous pass produced. A majority-delta pass is geometric pumping
+      // — nearly every pending step is genuinely new, so capping would
+      // only grow the carried backlog — and runs uncapped; flat growth
+      // gets the bounded-burst regime. Pure function of (delta, instance
+      // size): deterministic at any thread count, and the checkpoint
+      // records the chosen cap.
+      pass_fire_cap = config.max_fires_per_pass;
+      if (config.auto_burst) {
+        const std::size_t growth = pass_start - match_begin;
+        const bool pumping = growth * 2 >= pass_start;
+        pass_fire_cap = pumping ? 0
+                                : (config.max_fires_per_pass > 0
+                                       ? config.max_fires_per_pass
+                                       : kAutoBurstCap);
+      }
+      if (MetricsEnabled()) GetChaseMetrics().passes->Add(1);
+    }
+
+    // Fire the current wave, then match the next one, until the pass runs
+    // out of dependencies. A stop inside a wave never matches the rest; a
+    // burst cap still matches them in delta mode, to carry their steps.
+    while (true) {
+      if (!fire_wave()) return result;
+      if (next_dep >= deps.items.size()) break;
+      if (cap_reached() && !config.use_delta) break;
+      if (!match_wave()) return result;
+    }
+
+    // Every dependency has now been matched against the first pass_start
+    // tuples; the next pass only needs to see what this pass's fires added.
+    delta_begin = pass_start;
+    carried = std::move(next_carried);
+    next_carried.clear();
+    carried_pos = 0;
+
+    if (!pass_found_steps) {
+      result.status = ChaseStatus::kFixpoint;
+      return result;
+    }
     if (!config.eager_goal_check && goal && goal(*instance)) {
       result.status = ChaseStatus::kGoal;
       return result;
@@ -875,7 +990,10 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
   // index deps/tuples/valuations unchecked — so a corrupt file must die
   // here, cleanly.
   const std::size_t num_tuples = instance.NumTuples();
-  if (delta_begin > num_tuples) return false;
+  if (match_begin > pass_start || pass_start > num_tuples ||
+      next_dep > deps.items.size()) {
+    return false;
+  }
   // The valuation must be shaped exactly like its dependency's variable
   // space (FireStep and the head-witness search index it by (attr, var))
   // and bind only existing domain values.
@@ -903,11 +1021,30 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
     }
     return true;
   };
-  for (const PendingChaseStep& step : pending) {
-    if (!valid_match(step.dep_index, step.match) ||
-        !valid_ids(step.row_ids)) {
-      return false;
+  // Each list lies on its side of the wave cursor, in canonical order —
+  // RunChase fires the one and merges the other as sorted runs.
+  auto valid_steps = [&](const std::vector<PendingChaseStep>& steps,
+                         bool before_cursor) {
+    const PendingChaseStep* previous = nullptr;
+    for (const PendingChaseStep& step : steps) {
+      if (!valid_match(step.dep_index, step.match) ||
+          !valid_ids(step.row_ids) ||
+          (static_cast<std::size_t>(step.dep_index) < next_dep) !=
+              before_cursor) {
+        return false;
+      }
+      if (previous != nullptr &&
+          std::tie(step.dep_index, step.row_ids) <
+              std::tie(previous->dep_index, previous->row_ids)) {
+        return false;
+      }
+      previous = &step;
     }
+    return true;
+  };
+  if (!valid_steps(pending, /*before_cursor=*/true) ||
+      !valid_steps(carried, /*before_cursor=*/false)) {
+    return false;
   }
   for (const ChaseStep& step : trace) {
     if (!valid_match(step.dependency_index, step.body_match) ||
@@ -975,30 +1112,52 @@ bool ReadValuation(std::istream& is, Valuation* v) {
 
 // Bumped from tdckpt1 when the format gained fire_cap_this_pass,
 // hom_candidates and the match-strategy shape fields (auto_burst,
-// match_slice_ids), and from tdckpt2 when the candidate-intersection flag
-// left the shape block. Older files are rejected rather than resumed under
+// match_slice_ids), from tdckpt2 when the candidate-intersection flag left
+// the shape block, and from tdckpt3 when the resume point became a wave
+// cursor (match_begin, pass_start, next_dep) with a carried list beside the
+// wave's pending tail. Older files are rejected rather than resumed under
 // a shape this build cannot reproduce.
-constexpr char kCheckpointMagic[] = "tdckpt3";
+constexpr char kCheckpointMagic[] = "tdckpt4";
+
+void WriteSteps(std::ostream& os, const std::vector<PendingChaseStep>& steps) {
+  os << steps.size() << '\n';
+  for (const PendingChaseStep& step : steps) {
+    os << step.dep_index << '\n';
+    WriteValuation(os, step.match);
+    WriteIntVec(os, step.row_ids);
+  }
+}
+
+// Same untrusted-count discipline as ReadIntVec: append, never resize.
+bool ReadSteps(std::istream& is, std::vector<PendingChaseStep>* steps) {
+  std::size_t n;
+  if (!(is >> n)) return false;
+  for (std::size_t i = 0; i < n; ++i) {
+    PendingChaseStep step;
+    if (!(is >> step.dep_index) || !ReadValuation(is, &step.match) ||
+        !ReadIntVec(is, &step.row_ids)) {
+      return false;
+    }
+    steps->push_back(std::move(step));
+  }
+  return true;
+}
 
 }  // namespace
 
 void ChaseCheckpoint::Serialize(std::ostream& os) const {
   os << kCheckpointMagic << ' ' << (valid ? 1 : 0) << '\n';
   if (!valid) return;
-  os << delta_begin << ' ' << fired_this_pass << ' ' << fire_cap_this_pass
-     << '\n';
+  os << match_begin << ' ' << pass_start << ' ' << next_dep << ' '
+     << fired_this_pass << ' ' << fire_cap_this_pass << '\n';
   os << steps << ' ' << passes << ' ' << hom_nodes << ' ' << hom_candidates
      << ' ' << match_tasks << ' ' << carried_passes << '\n';
   os << (use_delta ? 1 : 0) << ' ' << max_fires_per_pass << ' '
      << (auto_burst ? 1 : 0) << ' ' << match_slice_ids << ' '
      << (record_trace ? 1 : 0) << ' ' << (eager_goal_check ? 1 : 0) << ' '
      << hom_max_nodes << '\n';
-  os << pending.size() << '\n';
-  for (const PendingChaseStep& step : pending) {
-    os << step.dep_index << '\n';
-    WriteValuation(os, step.match);
-    WriteIntVec(os, step.row_ids);
-  }
+  WriteSteps(os, pending);
+  WriteSteps(os, carried);
   os << trace.size() << '\n';
   for (const ChaseStep& step : trace) {
     os << step.dependency_index << '\n';
@@ -1022,28 +1181,21 @@ Result<ChaseCheckpoint> ChaseCheckpoint::Deserialize(std::istream& is) {
   if (valid_flag == 0) return ckpt;  // an empty (non-resumable) checkpoint
   ckpt.valid = true;
   int use_delta_flag, auto_burst_flag, record_trace_flag, eager_flag;
-  std::size_t num_pending, num_trace;
-  if (!(is >> ckpt.delta_begin >> ckpt.fired_this_pass >>
-        ckpt.fire_cap_this_pass >> ckpt.steps >> ckpt.passes >>
-        ckpt.hom_nodes >> ckpt.hom_candidates >> ckpt.match_tasks >>
-        ckpt.carried_passes >> use_delta_flag >> ckpt.max_fires_per_pass >>
-        auto_burst_flag >> ckpt.match_slice_ids >> record_trace_flag >>
-        eager_flag >> ckpt.hom_max_nodes >> num_pending)) {
+  std::size_t num_trace;
+  if (!(is >> ckpt.match_begin >> ckpt.pass_start >> ckpt.next_dep >>
+        ckpt.fired_this_pass >> ckpt.fire_cap_this_pass >> ckpt.steps >>
+        ckpt.passes >> ckpt.hom_nodes >> ckpt.hom_candidates >>
+        ckpt.match_tasks >> ckpt.carried_passes >> use_delta_flag >>
+        ckpt.max_fires_per_pass >> auto_burst_flag >> ckpt.match_slice_ids >>
+        record_trace_flag >> eager_flag >> ckpt.hom_max_nodes)) {
     return corrupt("truncated counters/shape block");
   }
   ckpt.use_delta = use_delta_flag != 0;
   ckpt.auto_burst = auto_burst_flag != 0;
   ckpt.record_trace = record_trace_flag != 0;
   ckpt.eager_goal_check = eager_flag != 0;
-  // Same untrusted-count discipline as ReadIntVec: append, never resize.
-  for (std::size_t i = 0; i < num_pending; ++i) {
-    PendingChaseStep step;
-    if (!(is >> step.dep_index) || !ReadValuation(is, &step.match) ||
-        !ReadIntVec(is, &step.row_ids)) {
-      return corrupt("truncated pending step");
-    }
-    ckpt.pending.push_back(std::move(step));
-  }
+  if (!ReadSteps(is, &ckpt.pending)) return corrupt("truncated pending step");
+  if (!ReadSteps(is, &ckpt.carried)) return corrupt("truncated carried step");
   if (!(is >> num_trace)) return corrupt("missing trace count");
   for (std::size_t i = 0; i < num_trace; ++i) {
     ChaseStep step;

@@ -89,17 +89,18 @@ struct ChaseConfig {
   /// status — stay byte-identical at any thread count, serial included.
   std::uint64_t match_slice_ids = 4096;
 
-  /// Optional thread pool for the matching phase. Each pass's match tasks —
-  /// carried-step re-checks plus one body search per dependency (or per
+  /// Optional thread pool for the matching phase. Each wave's match tasks
+  /// — carried-step re-checks plus one body search per dependency (or per
   /// semi-naive partition member (dependency, seed row)) — are independent
-  /// read-only searches over the pass-start instance; with a pool they fan
-  /// out across workers, collect pending steps into per-task buffers, and
-  /// merge in the canonical (dependency, body-image) order, so the fired
-  /// steps — and therefore instances, traces and statuses — are
-  /// byte-identical to a serial run at ANY thread count. Null (the default)
-  /// is the serial fallback used by --naive-chase and single-thread
-  /// ablations. Firing, tracing and goal checks always stay on the calling
-  /// thread; the instance is never mutated while match tasks run. The
+  /// read-only searches (body searches capped at the pass-start instance);
+  /// with a pool they fan out across workers, collect pending steps into
+  /// per-task buffers, and merge in the canonical (dependency, body-image)
+  /// order, so the fired steps — and therefore instances, traces and
+  /// statuses — are byte-identical to a serial run at ANY thread count.
+  /// Null (the default) is the serial fallback used by --naive-chase and
+  /// single-thread ablations. Firing, tracing and goal checks always stay
+  /// on the calling thread; the instance is never mutated while match
+  /// tasks run — waves are matched and fired one after the other. The
   /// byte-identity guarantee is scoped exactly like use_delta's: a binding
   /// hom_max_nodes or deadline_seconds can stop serial and pooled runs at
   /// different points (a budget trip in one task cancels its siblings
@@ -182,11 +183,18 @@ struct PendingChaseStep {
 /// instance itself (the caller owns that; ChaseSession in chase/implication.h
 /// bundles the two, and Instance::Serialize persists the tuple arena).
 ///
-/// A checkpoint is taken exactly when a run stops DETERMINISTICALLY inside
-/// the firing phase — kStepLimit or kTupleLimit, the two budgets the dual
-/// solver's escalation rounds raise. Those stops happen between fires, with
-/// the instance in a well-defined state and the remaining pending steps in
-/// hand, so a resumed run replays the continuation of an uninterrupted run
+/// A checkpoint is taken exactly when a run stops DETERMINISTICALLY between
+/// two fires — kStepLimit or kTupleLimit, the two budgets the dual solver's
+/// escalation rounds raise (and kResourceExhausted, which parks the same
+/// way). RunChase matches and fires each pass in dependency waves, so such
+/// a stop lands inside one wave of a pass: earlier waves are fired, the
+/// current wave is partly fired, later waves are not matched yet. The
+/// checkpoint records that position as a wave cursor — the pass's match
+/// window [match_begin, pass_start) and the first dependency not yet
+/// matched — plus the current wave's unfired tail and the carried steps the
+/// unmatched waves still have to re-check. Nothing of the unmatched waves
+/// is materialized: the resumed run matches them from the cursor against
+/// the same instance an uninterrupted run would, so it replays that run
 /// byte for byte: same tuples, same invented nulls, same trace, same
 /// cumulative counters. Nondeterministic stops (kTimeout, kHomBudget,
 /// kCancelled) cut homomorphism searches mid-stream and leave no checkpoint
@@ -198,14 +206,26 @@ struct PendingChaseStep {
 struct ChaseCheckpoint {
   bool valid = false;
 
-  // ---- Resume point (inside the firing phase of pass `passes`) ----------
-  std::size_t delta_begin = 0;      ///< frontier: ids >= this are the delta
+  // ---- Resume point: between two fires of pass `passes` ------------------
+  std::size_t match_begin = 0;  ///< the pass's delta starts here (0 = the
+                                ///  whole instance was new)
+  std::size_t pass_start = 0;   ///< the pass's body searches bind ids below
+                                ///  this; the next pass's delta starts here
+  std::size_t next_dep = 0;     ///< wave cursor: the first dependency the
+                                ///  pass has not matched yet
   std::uint64_t fired_this_pass = 0;  ///< burst-cap progress within the pass
   std::uint64_t fire_cap_this_pass = 0;  ///< the interrupted pass's effective
                                          ///  burst cap (auto_burst decides it
                                          ///  per pass; 0 = uncapped)
-  std::vector<PendingChaseStep> pending;  ///< still-unfired steps, canonical
-                                          ///  (dep, body-image) order
+  std::vector<PendingChaseStep> pending;  ///< the current wave's unfired
+                                          ///  steps, canonical (dep,
+                                          ///  body-image) order; every
+                                          ///  dep_index < next_dep
+  std::vector<PendingChaseStep> carried;  ///< steps an earlier pass's burst
+                                          ///  cap carried into this one,
+                                          ///  not yet re-checked; canonical
+                                          ///  order, every dep_index >=
+                                          ///  next_dep
 
   // ---- Cumulative counters (ChaseResult so far) -------------------------
   std::uint64_t steps = 0;
@@ -233,12 +253,15 @@ struct ChaseCheckpoint {
 
   /// True iff this checkpoint belongs with (config-shape, instance, deps):
   /// it is valid, the config shape matches, and — because checkpoints may
-  /// arrive from disk — every pending and trace entry's dependency index,
-  /// tuple ids and valuation are in range for the given dependency set and
-  /// instance (a corrupt file fails here, not as an out-of-bounds access
-  /// inside RunChase or a trace consumer). Budgets are NOT considered: a
-  /// compatible checkpoint whose progress exceeds the current budgets is
-  /// worth keeping for a later, bigger-budget round.
+  /// arrive from disk — the wave cursor is in range (match_begin <=
+  /// pass_start <= the instance size, next_dep <= the dependency count),
+  /// the pending and carried lists are in canonical order on their side of
+  /// next_dep, and every pending, carried and trace entry's dependency
+  /// index, tuple ids and valuation are in range for the given dependency
+  /// set and instance (a corrupt file fails here, not as an out-of-bounds
+  /// access inside RunChase or a trace consumer). Budgets are NOT
+  /// considered: a compatible checkpoint whose progress exceeds the current
+  /// budgets is worth keeping for a later, bigger-budget round.
   bool CompatibleWith(const ChaseConfig& config, const Instance& instance,
                       const DependencySet& deps) const;
 
@@ -285,6 +308,18 @@ using ChaseGoal = std::function<bool(const Instance&)>;
 /// ids the body rows map to — so the fire order is a function of the *set*
 /// of applicable steps, not of how the matcher enumerated them.
 ///
+/// A pass is matched and fired in dependency waves: runs of whole
+/// dependencies in index order, each holding a fixed number of match tasks
+/// (a constant, never the pool width). A wave's body searches bind only
+/// tuples that existed at pass start, its head checks drop steps the
+/// pass's earlier fires already witnessed, and the wave fires before the
+/// next one is matched. Firing wave after wave is firing the pass in
+/// canonical order, and a dropped step is one the fire-time re-check would
+/// skip, so the fired steps are those of matching the whole pass up front;
+/// but a pass that reaches the goal, a budget, a cancel or the deadline
+/// never matches the waves after the stop. Under a burst cap the remaining
+/// waves are still matched, to carry their steps (delta mode).
+///
 /// With ChaseConfig::use_delta (the default), pass k only enumerates body
 /// matches touching a tuple inserted during pass k-1 (the semi-naive
 /// partition: seed row in the delta, earlier rows old, later rows free).
@@ -300,10 +335,12 @@ using ChaseGoal = std::function<bool(const Instance&)>;
 /// deadline_seconds can stop them at different points (statuses may then
 /// differ, e.g. kHomBudget in one mode only).
 ///
-/// With ChaseConfig::pool set, the match tasks of each pass run
+/// With ChaseConfig::pool set, the match tasks of each wave run
 /// concurrently on the pool while the instance is read-only; the canonical
 /// merge makes the result byte-identical to the serial run at any thread
-/// count (same budget-trip caveat as above). Firing is always serial.
+/// count (same budget-trip caveat as above). Firing is always serial. A
+/// binding hom_max_nodes or deadline stops the pass in the wave where it
+/// trips, after the earlier waves have fired.
 ChaseResult RunChase(Instance* instance, const DependencySet& deps,
                      const ChaseConfig& config, const ChaseGoal& goal = {});
 

@@ -36,9 +36,9 @@ Valuation HeadSeedValuation(const Dependency& dep,
 HeadChecker::HeadChecker(const Dependency& dep, const Instance& instance,
                          const HomSearchOptions& options)
     : dep_(dep), instance_(instance), max_nodes_(options.max_nodes) {
-  // The probe reproduces an unrestricted indexed search; a caller asking
-  // for a delta window or an index-free scan gets that search itself.
-  if (dep.IsTd() && options.use_index && options.delta_begin < 0) {
+  // The probe reproduces an unrestricted search; a caller asking for a
+  // delta window or an id cap gets that search itself.
+  if (dep.IsTd() && options.delta_begin < 0 && options.id_cap < 0) {
     universals_ = dep.HeadRowUniversals();
     key_ = universals_;
   } else {

@@ -62,7 +62,7 @@ void HeadSeedValuationInto(const Dependency& dep, const Valuation& body_match,
 ///    (ProbeRow, logic/homomorphism.h) on the head row's universal
 ///    positions — no search object, no seed valuation;
 ///  - a multi-row (EID) head — or a caller asking for a delta window or an
-///    index-free scan — keeps the backtracking search, seeded per check
+///    id cap — keeps the backtracking search, seeded per check
 ///    through HeadSeedValuationInto into the checker's own scratch.
 /// Either way the counters are exactly those of the general head search,
 /// so the dispatch is invisible in hom_nodes/hom_candidates. Shared by

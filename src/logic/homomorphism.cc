@@ -53,6 +53,9 @@ HomSearchStatus HomomorphismSearch::ForEach(
     const std::function<bool(const Valuation&)>& visit) {
   stats_ = HomSearchStats{};
   delta_rows_bound_ = 0;
+  cap_hides_tuples_ =
+      options_.id_cap >= 0 &&
+      target_.NumTuples() > static_cast<std::size_t>(options_.id_cap);
   std::fill(row_done_.begin(), row_done_.end(), false);
   bool stopped = false;
   Backtrack(0, visit, &stopped);
@@ -62,29 +65,31 @@ HomSearchStatus HomomorphismSearch::ForEach(
 }
 
 std::pair<int, int> HomomorphismSearch::RowIdBounds(int row_idx) const {
-  if (options_.delta_begin < 0 || options_.delta_seed_row < 0) {
-    return {0, std::numeric_limits<int>::max()};
+  int lo = 0;
+  int hi = std::numeric_limits<int>::max();
+  if (options_.delta_begin >= 0 && options_.delta_seed_row >= 0) {
+    if (row_idx < options_.delta_seed_row) {
+      hi = options_.delta_begin;
+    } else if (row_idx == options_.delta_seed_row) {
+      // The seed row binds the delta — or, when the chase sliced this
+      // partition member into sub-tasks, one sub-range of it.
+      lo = options_.delta_seed_begin >= 0 ? options_.delta_seed_begin
+                                          : options_.delta_begin;
+      if (options_.delta_seed_end >= 0) hi = options_.delta_seed_end;
+    }
   }
-  if (row_idx < options_.delta_seed_row) return {0, options_.delta_begin};
-  if (row_idx == options_.delta_seed_row) {
-    // The seed row binds the delta — or, when the chase sliced this
-    // partition member into sub-tasks, one sub-range of it.
-    int lo = options_.delta_seed_begin >= 0 ? options_.delta_seed_begin
-                                            : options_.delta_begin;
-    int hi = options_.delta_seed_end >= 0 ? options_.delta_seed_end
-                                          : std::numeric_limits<int>::max();
-    return {lo, hi};
-  }
-  return {0, std::numeric_limits<int>::max()};
+  if (options_.id_cap >= 0) hi = std::min(hi, options_.id_cap);
+  return {lo, hi};
+}
+
+std::size_t HomomorphismSearch::CountBindable(int attr, int value) const {
+  if (!cap_hides_tuples_) return target_.CountWith(attr, value);
+  const CandidateList list = target_.TuplesWith(attr, value);
+  return list.base().CountBelow(options_.id_cap) +
+         list.tail().CountBelow(options_.id_cap);
 }
 
 int HomomorphismSearch::PickNextRow() const {
-  if (!options_.use_dynamic_order) {
-    for (int i = 0; i < source_.num_rows(); ++i) {
-      if (!row_done_[i]) return i;
-    }
-    return -1;
-  }
   // Most-constrained-first: prefer the row whose smallest bound-position
   // candidate list is shortest; rows with no bound position score the whole
   // instance size. A delta-restricted id range caps the score too, so the
@@ -104,7 +109,7 @@ int HomomorphismSearch::PickNextRow() const {
     for (int attr = 0; attr < source_.schema().arity(); ++attr) {
       int bound = valuation_.Get(attr, r[attr]);
       if (bound >= 0) {
-        score = std::min(score, target_.CountWith(attr, bound));
+        score = std::min(score, CountBindable(attr, bound));
       }
     }
     if (score < best_score) {
@@ -120,31 +125,29 @@ void HomomorphismSearch::RowCandidates(int row_idx, int min_id, int max_id,
                                        IdSpan runs[2]) const {
   runs[0] = IdSpan();
   runs[1] = IdSpan();
-  if (options_.use_index) {
-    // Shortest bound posting list (ties keep the lowest attribute); the
-    // other bound positions are filtered per candidate by TryBindRow.
-    const Row& r = source_.row(row_idx);
-    int best_attr = -1;
-    int best_value = -1;
-    std::size_t best_size = 0;
-    for (int attr = 0; attr < source_.schema().arity(); ++attr) {
-      int bound = valuation_.Get(attr, r[attr]);
-      if (bound < 0) continue;
-      std::size_t size = target_.CountWith(attr, bound);
-      if (best_attr < 0 || size < best_size) {
-        best_attr = attr;
-        best_value = bound;
-        best_size = size;
-      }
+  // Shortest bound posting list (ties keep the lowest attribute); the
+  // other bound positions are filtered per candidate by TryBindRow.
+  const Row& r = source_.row(row_idx);
+  int best_attr = -1;
+  int best_value = -1;
+  std::size_t best_size = 0;
+  for (int attr = 0; attr < source_.schema().arity(); ++attr) {
+    int bound = valuation_.Get(attr, r[attr]);
+    if (bound < 0) continue;
+    std::size_t size = CountBindable(attr, bound);
+    if (best_attr < 0 || size < best_size) {
+      best_attr = attr;
+      best_value = bound;
+      best_size = size;
     }
-    if (best_attr >= 0) {
-      // Zero-copy index spans. Runs are ascending with base ids < tail ids,
-      // so a delta cutoff is one binary search per run.
-      const CandidateList list = target_.TuplesWith(best_attr, best_value);
-      runs[0] = min_id > 0 ? list.base().SuffixFrom(min_id) : list.base();
-      runs[1] = min_id > 0 ? list.tail().SuffixFrom(min_id) : list.tail();
-      return;
-    }
+  }
+  if (best_attr >= 0) {
+    // Zero-copy index spans. Runs are ascending with base ids < tail ids,
+    // so a delta cutoff is one binary search per run.
+    const CandidateList list = target_.TuplesWith(best_attr, best_value);
+    runs[0] = min_id > 0 ? list.base().SuffixFrom(min_id) : list.base();
+    runs[1] = min_id > 0 ? list.tail().SuffixFrom(min_id) : list.tail();
+    return;
   }
   storage->clear();
   const std::size_t scan_end = std::min<std::size_t>(

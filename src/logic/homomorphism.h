@@ -107,14 +107,6 @@ struct HomSearchOptions {
   /// Abort after exploring this many search-tree nodes (0 = unlimited).
   std::uint64_t max_nodes = 0;
 
-  /// Disable the inverted-index candidate pruning; used by the EXP-CHASE
-  /// ablation benchmark to quantify what the index buys.
-  bool use_index = true;
-
-  /// Disable the most-constrained-row-first dynamic ordering (rows are then
-  /// matched in tableau order).
-  bool use_dynamic_order = true;
-
   /// Delta restriction: when delta_begin >= 0 and delta_seed_row >= 0,
   /// enumerate the `delta_seed_row` member of the semi-naive partition —
   /// row delta_seed_row binds only tuples with id >= delta_begin ("the
@@ -142,6 +134,12 @@ struct HomSearchOptions {
   /// exactly the member.
   int delta_seed_begin = -1;
   int delta_seed_end = -1;
+
+  /// Id cap: when >= 0, every row binds only tuples with id < id_cap, on
+  /// top of any delta window. The chase sets it to the pass-start size, so
+  /// a pass's body searches see the instance the pass started from even
+  /// while earlier waves of the same pass are inserting tuples.
+  int id_cap = -1;
 
   /// Optional wall-clock deadline, checked every few hundred nodes inside
   /// Backtrack so one huge search cannot overshoot a caller's budget. On
@@ -215,8 +213,13 @@ class HomomorphismSearch {
   bool Backtrack(int depth, const std::function<bool(const Valuation&)>& visit,
                  bool* stopped);
   int PickNextRow() const;
+  /// Length of the (attr, value) posting list the search can bind: below
+  /// the id cap when tuples sit above it, so a capped search scores rows by
+  /// what it will scan — exactly as on the capped-size instance.
+  std::size_t CountBindable(int attr, int value) const;
   /// Tuple ids row `row_idx` may bind: [first, second). Encodes the delta
-  /// partition (and seed slices); {0, INT_MAX} when unrestricted.
+  /// partition (and seed slices) and the id cap; {0, INT_MAX} when
+  /// unrestricted.
   std::pair<int, int> RowIdBounds(int row_idx) const;
   /// Candidate ids from min_id on for `row_idx`, as two ascending runs
   /// (every id in runs[0] precedes every id in runs[1]): the borrowed base
@@ -236,6 +239,7 @@ class HomomorphismSearch {
   std::vector<bool> row_done_;
   std::vector<int> row_tuples_;
   int delta_rows_bound_ = 0;  ///< "any row" mode: rows on delta tuples now
+  bool cap_hides_tuples_ = false;  ///< the target holds ids >= id_cap
   // Per-depth scratch, reused across the whole search so the hot loop does
   // not allocate per node (capacity sticks after the first few nodes).
   std::vector<std::vector<int>> candidate_storage_;

@@ -75,6 +75,13 @@ class IdSpan {
     return IdSpan(p, static_cast<std::size_t>(data_ + size_ - p));
   }
 
+  /// How many ids are < limit (no search when the whole run is).
+  std::size_t CountBelow(int limit) const {
+    if (size_ == 0 || data_[size_ - 1] < limit) return size_;
+    return static_cast<std::size_t>(
+        std::lower_bound(data_, data_ + size_, limit) - data_);
+  }
+
  private:
   const int* data_;
   std::size_t size_;

@@ -539,22 +539,22 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
   ASSERT_FALSE(bad_version.ok());
   EXPECT_EQ(bad_version.code(), ErrorCode::kCorrupt);
 
-  Result<int> absurd_count = load("tdlib-result-cache 2\n99999999999\nend\n");
+  Result<int> absurd_count = load("tdlib-result-cache 3\n99999999999\nend\n");
   ASSERT_FALSE(absurd_count.ok());
   EXPECT_EQ(absurd_count.code(), ErrorCode::kCorrupt);
 
   Result<int> bad_verdict = load(
-      "tdlib-result-cache 2\n1\n"
+      "tdlib-result-cache 3\n1\n"
       "00000000000000aa 00000000000000bb 7 1 2 3 4 5 6 7\nend\n");
   ASSERT_FALSE(bad_verdict.ok());
   EXPECT_EQ(bad_verdict.code(), ErrorCode::kCorrupt);
 
-  Result<int> truncated = load("tdlib-result-cache 2\n2\n"
+  Result<int> truncated = load("tdlib-result-cache 3\n2\n"
                                "00000000000000aa 00000000000000bb 0 1 2 3 4 5 6 7\n");
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.code(), ErrorCode::kCorrupt);
 
-  Result<int> trailing = load("tdlib-result-cache 2\n0\nend\ngarbage\n");
+  Result<int> trailing = load("tdlib-result-cache 3\n0\nend\ngarbage\n");
   ASSERT_FALSE(trailing.ok());
   EXPECT_EQ(trailing.code(), ErrorCode::kCorrupt);
 
@@ -564,24 +564,30 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
   EXPECT_EQ(missing.code(), ErrorCode::kNotFound);
 }
 
-TEST(ResultCacheStore, RefusesVersionOneFiles) {
-  // Version-1 files were keyed by the previous fingerprint function: no
-  // fingerprint computed now can reach their entries, so they are refused
-  // whole (tdbatch then starts cold) instead of loaded as dead weight.
-  ResultCache cache;
-  std::istringstream in(
-      "tdlib-result-cache 1\n1\n"
-      "00000000000000aa 00000000000000bb 0 1 2 3 4 5 6 7\nend\n");
-  Result<int> loaded = LoadResultCache(in, &cache);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.code(), ErrorCode::kCorrupt);
-  EXPECT_NE(loaded.error().find("unsupported version"), std::string::npos)
-      << loaded.error();
-  EXPECT_EQ(cache.Stats().entries, 0);
+TEST(ResultCacheStore, RefusesOlderVersionFiles) {
+  // Version-1 files were keyed by the previous fingerprint function, and
+  // version-2 entries carry the hom_nodes of the chase before it matched
+  // passes in dependency waves: either would serve what no solve computes
+  // now, so they are refused whole (tdbatch then starts cold) instead of
+  // loaded.
+  for (const char* version : {"1", "2"}) {
+    ResultCache cache;
+    std::istringstream in(std::string("tdlib-result-cache ") + version +
+                          "\n1\n"
+                          "00000000000000aa 00000000000000bb 0 1 2 3 4 5 6 7"
+                          "\nend\n");
+    Result<int> loaded = LoadResultCache(in, &cache);
+    ASSERT_FALSE(loaded.ok()) << version;
+    EXPECT_EQ(loaded.code(), ErrorCode::kCorrupt);
+    EXPECT_NE(loaded.error().find("unsupported version"), std::string::npos)
+        << loaded.error();
+    EXPECT_EQ(cache.Stats().entries, 0);
+  }
 
+  ResultCache empty;
   std::stringstream saved;
-  SaveResultCache(saved, cache);
-  EXPECT_EQ(saved.str().rfind("tdlib-result-cache 2\n", 0), 0u);
+  SaveResultCache(saved, empty);
+  EXPECT_EQ(saved.str().rfind("tdlib-result-cache 3\n", 0), 0u);
 }
 
 // ---- Service integration ---------------------------------------------------

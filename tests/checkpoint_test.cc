@@ -5,13 +5,16 @@
 // pumping reduction instance, random TDs and the reduction sweep.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <sstream>
+#include <string>
 #include <vector>
 
 #include "chase/chase.h"
 #include "chase/dual_solver.h"
 #include "chase/implication.h"
 #include "core/parser.h"
+#include "engine/thread_pool.h"
 #include "engine/workload.h"
 #include "logic/instance.h"
 #include "logic/tuple_store.h"
@@ -201,6 +204,69 @@ TEST(ChaseCheckpoint, ResumeParityOnThePumpingReduction) {
   CheckResumeParity(pumping.deps, seed, config, /*small=*/17, /*big=*/120);
 }
 
+std::string Bytes(const Instance& instance) {
+  std::ostringstream out;
+  instance.Serialize(out);
+  return out.str();
+}
+
+TEST(ChaseCheckpoint, ResumeParityInsideAWaveOfTheLastPass) {
+  // gap/pad3 at 1600 steps stops inside the pass that a 4000-step run ends
+  // in, with later waves of that pass not matched yet: the checkpoint holds
+  // a wave cursor, and the resumed run must match those waves itself —
+  // against the same instance, with the same counters — serially and on a
+  // pool.
+  WorkloadOptions options;
+  options.size = 12;
+  const Job gap = ReductionSweepWorkload(options)[11];
+  ASSERT_EQ(gap.name, "gap/pad3");
+  for (int threads : {0, 4}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    std::unique_ptr<ThreadPool> pool;
+    if (threads > 0) pool = std::make_unique<ThreadPool>(threads);
+    ChaseConfig config;
+    config.record_trace = true;
+    config.pool = pool.get();
+    const ChaseGoal goal = ConclusionGoal(gap.goal, config.HomOptions());
+
+    ChaseConfig big = config;
+    big.max_steps = 4000;
+    Instance reference = gap.goal.body().Freeze();
+    const ChaseResult reference_result =
+        RunChase(&reference, gap.dependencies, big, goal);
+
+    ChaseConfig small = config;
+    small.max_steps = 1600;
+    Instance interrupted = gap.goal.body().Freeze();
+    ChaseCheckpoint checkpoint;
+    const ChaseResult first = RunChase(&interrupted, gap.dependencies, small,
+                                       goal, &checkpoint);
+    ASSERT_EQ(first.status, ChaseStatus::kStepLimit);
+    ASSERT_TRUE(checkpoint.valid);
+    EXPECT_EQ(checkpoint.passes, reference_result.passes);
+    EXPECT_LT(checkpoint.next_dep, gap.dependencies.items.size());
+
+    // Through a serialize → restore cycle, then continued.
+    std::ostringstream out;
+    interrupted.Serialize(out);
+    checkpoint.Serialize(out);
+    std::istringstream in(out.str());
+    Result<Instance> restored =
+        Instance::Deserialize(interrupted.schema_ptr(), in);
+    ASSERT_TRUE(restored.ok());
+    Result<ChaseCheckpoint> restored_checkpoint =
+        ChaseCheckpoint::Deserialize(in);
+    ASSERT_TRUE(restored_checkpoint.ok());
+    ASSERT_TRUE(restored_checkpoint.value().ResumableWith(
+        big, restored.value(), gap.dependencies));
+    const ChaseResult resumed =
+        RunChase(&restored.value(), gap.dependencies, big, goal,
+                 &restored_checkpoint.value());
+    ExpectSameResult(resumed, reference_result);
+    EXPECT_EQ(Bytes(restored.value()), Bytes(reference));
+  }
+}
+
 TEST(ChaseCheckpoint, ResumeParityUnderABurstCapWithCarriedSteps) {
   Pumping pumping = MakePumping();
   Instance seed = pumping.goal.body().Freeze();
@@ -310,16 +376,26 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // resize/reserve (std::length_error / OOM). Regression: these inputs used
   // to abort the process.
   std::istringstream huge_pending(
-      "tdckpt3 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n"
+      "tdckpt4 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n"
       "18446744073709551615\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_pending).ok());
+  std::istringstream huge_carried(
+      "tdckpt4 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n"
+      "18446744073709551615\n");
+  EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_carried).ok());
   // The same header with an empty body is a well-formed checkpoint.
   std::istringstream current(
-      "tdckpt3 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n");
+      "tdckpt4 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n0\n");
   EXPECT_TRUE(ChaseCheckpoint::Deserialize(current).ok());
   // Old-format checkpoints are rejected as corrupt, never resumed under a
-  // guessed shape: tdckpt1 predates the match-strategy shape fields, and
-  // tdckpt2 still carries the candidate-intersection flag.
+  // guessed shape: tdckpt1 predates the match-strategy shape fields,
+  // tdckpt2 still carries the candidate-intersection flag, and tdckpt3
+  // resumes from a materialized pending tail instead of a wave cursor.
+  std::istringstream v3_format(
+      "tdckpt3 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n");
+  Result<ChaseCheckpoint> v3 = ChaseCheckpoint::Deserialize(v3_format);
+  ASSERT_FALSE(v3.ok());
+  EXPECT_EQ(v3.code(), ErrorCode::kCorrupt);
   std::istringstream old_format("tdckpt1 1\n0 0\n0 0 0 0 0\n1 0 0 1 0\n0\n0\n");
   Result<ChaseCheckpoint> v1 = ChaseCheckpoint::Deserialize(old_format);
   ASSERT_FALSE(v1.ok());

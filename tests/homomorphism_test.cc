@@ -1,9 +1,10 @@
-// Tests for the homomorphism search engine, including the ablation knobs
-// (index, dynamic ordering) that the EXP-CHASE benches sweep.
+// Tests for the homomorphism search engine: enumeration, initial
+// valuations, budgets, the id cap and tableau containment.
 #include "logic/homomorphism.h"
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <vector>
 
 #include "util/rng.h"
@@ -118,31 +119,65 @@ TEST_F(HomTest, BudgetIsReported) {
             HomSearchStatus::kBudget);
 }
 
-TEST_F(HomTest, AblationKnobsAgreeOnCounts) {
-  // The index and dynamic-order options are performance knobs; they must
-  // not change the set of homomorphisms found.
-  Tableau t(schema_);
-  int a = t.NewVariable(0);
-  int b = t.NewVariable(1);
-  int b2 = t.NewVariable(1);
-  t.AddRow({a, b});
-  t.AddRow({a, b2});
-  auto count_with = [&](bool use_index, bool use_order) {
-    HomSearchOptions options;
-    options.use_index = use_index;
-    options.use_dynamic_order = use_order;
-    HomomorphismSearch search(t, inst_, options);
-    int count = 0;
-    search.ForEach([&](const Valuation&) {
-      ++count;
-      return true;
-    });
-    return count;
-  };
-  int baseline = count_with(true, true);
-  EXPECT_EQ(baseline, count_with(false, true));
-  EXPECT_EQ(baseline, count_with(true, false));
-  EXPECT_EQ(baseline, count_with(false, false));
+// Body images (tuple id per row) of every match `options` enumerates.
+std::set<std::vector<int>> Images(const Tableau& t, const Instance& target,
+                                  const HomSearchOptions& options) {
+  std::set<std::vector<int>> images;
+  HomomorphismSearch search(t, target, options);
+  search.ForEach([&](const Valuation&) {
+    EXPECT_TRUE(images.insert(search.row_tuples()).second);
+    return true;
+  });
+  return images;
+}
+
+TEST(HomIdCap, SearchesTheInstanceBelowTheCap) {
+  // A capped search over the whole instance must enumerate exactly what an
+  // uncapped search enumerates over the instance's first `cap` tuples —
+  // alone and combined with every member of a delta partition, which is
+  // how the chase matches a pass while earlier waves keep inserting.
+  SchemaPtr schema = MakeSchema({"A", "B", "C"});
+  Tableau t(schema);
+  int a = t.NewVariable(0), a2 = t.NewVariable(0);
+  int b = t.NewVariable(1), b2 = t.NewVariable(1);
+  int c = t.NewVariable(2);
+  t.AddRow({a, b, c});
+  t.AddRow({a2, b, t.NewVariable(2)});
+  t.AddRow({a, b2, c});
+  Rng rng(17);
+  Instance full(schema);
+  for (int attr = 0; attr < 3; ++attr) {
+    for (int v = 0; v < 4; ++v) full.AddValue(attr);
+  }
+  for (int i = 0; i < 60; ++i) {
+    full.AddTuple({static_cast<int>(rng.Below(4)),
+                   static_cast<int>(rng.Below(4)),
+                   static_cast<int>(rng.Below(4))});
+  }
+  for (int cap : {0, 1, 9, 30, static_cast<int>(full.NumTuples())}) {
+    Instance prefix(schema);
+    for (int attr = 0; attr < 3; ++attr) {
+      for (int v = 0; v < 4; ++v) prefix.AddValue(attr);
+    }
+    for (int id = 0; id < cap; ++id) {
+      const TupleRef tuple = full.tuple(id);
+      prefix.AddTuple({tuple[0], tuple[1], tuple[2]});
+    }
+    HomSearchOptions capped;
+    capped.id_cap = cap;
+    EXPECT_EQ(Images(t, full, capped), Images(t, prefix, {})) << cap;
+    const int delta_begin = cap / 2;
+    for (int seed_row = -1; seed_row < t.num_rows(); ++seed_row) {
+      HomSearchOptions windowed;
+      windowed.delta_begin = delta_begin;
+      windowed.delta_seed_row = seed_row;
+      HomSearchOptions windowed_capped = windowed;
+      windowed_capped.id_cap = cap;
+      EXPECT_EQ(Images(t, full, windowed_capped),
+                Images(t, prefix, windowed))
+          << cap << " seed row " << seed_row;
+    }
+  }
 }
 
 TEST(MapsInto, TableauContainment) {

@@ -8,6 +8,7 @@
 // the failure modes under test; the suite also runs under ASan/UBSan in CI.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -28,9 +29,15 @@ namespace tdlib {
 namespace {
 
 // A healthy serialized corpus to damage: an instance pumped a few chase
-// steps (so it has invented nulls), its checkpoint, and a full session.
+// steps (so it has invented nulls), a checkpoint, and a full session. The
+// checkpoint is taken mid-pass over enough dependencies for several waves
+// under a burst cap, so its wave cursor sits before dependencies whose
+// carried steps are still unchecked: every list of the format is non-empty.
 struct Corpus {
   SchemaPtr schema;
+  DependencySet checkpoint_deps;
+  ChaseConfig checkpoint_config;
+  std::optional<Instance> checkpoint_instance;
   std::string tuple_store_bytes;
   std::string instance_bytes;
   std::string checkpoint_bytes;
@@ -53,10 +60,26 @@ Corpus MakeCorpus() {
 
   Instance instance = dep.value().body().Freeze();
   ChaseConfig config;
-  config.max_steps = 1;  // stop mid-derivation so the checkpoint is live
+  config.max_steps = 1;  // stop mid-derivation
   config.record_trace = true;
-  ChaseCheckpoint checkpoint;
-  RunChase(&instance, deps, config, {}, &checkpoint);
+  RunChase(&instance, deps, config);
+
+  // Pass 1 fires one step and carries the rest; pass 2 stops after its
+  // first wave's fire, before the later waves re-check their carried steps.
+  for (int copy = 0; copy < 20; ++copy) {
+    corpus.checkpoint_deps.Add(dep.value(), "d" + std::to_string(copy));
+  }
+  corpus.checkpoint_config.max_steps = 2;
+  corpus.checkpoint_config.max_fires_per_pass = 1;
+  corpus.checkpoint_config.record_trace = true;
+  corpus.checkpoint_instance.emplace(dep.value().body().Freeze());
+  ChaseCheckpoint wave_checkpoint;
+  RunChase(&*corpus.checkpoint_instance, corpus.checkpoint_deps,
+           corpus.checkpoint_config, {}, &wave_checkpoint);
+  EXPECT_TRUE(wave_checkpoint.valid);
+  EXPECT_FALSE(wave_checkpoint.pending.empty());
+  EXPECT_FALSE(wave_checkpoint.carried.empty());
+  EXPECT_LT(wave_checkpoint.next_dep, corpus.checkpoint_deps.items.size());
 
   {
     TupleStore store(3);
@@ -73,7 +96,7 @@ Corpus MakeCorpus() {
   }
   {
     std::ostringstream oss;
-    checkpoint.Serialize(oss);
+    wave_checkpoint.Serialize(oss);
     corpus.checkpoint_bytes = oss.str();
   }
   {
@@ -187,9 +210,105 @@ TEST(SerializationCorruptTest, CheckpointSurvivesTheDamageSweep) {
     if (!result.ok()) {
       ++rejected;
       EXPECT_EQ(result.code(), ErrorCode::kCorrupt) << result.error();
+      continue;
     }
+    // A variant that still parses reaches the semantic check, which must
+    // answer without reading out of range (the sanitizer legs watch this).
+    (void)result.value().CompatibleWith(corpus.checkpoint_config,
+                                        *corpus.checkpoint_instance,
+                                        corpus.checkpoint_deps);
   }
   EXPECT_GT(rejected, 0);
+}
+
+// The wave cursor line of a serialized checkpoint: "match_begin pass_start
+// next_dep fired_this_pass fire_cap_this_pass", right after the header.
+std::vector<std::string> CursorFields(const std::string& bytes) {
+  std::istringstream in(bytes);
+  std::string line;
+  std::getline(in, line);  // magic and valid flag
+  std::getline(in, line);
+  std::istringstream fields(line);
+  std::vector<std::string> out;
+  for (std::string field; fields >> field;) out.push_back(field);
+  return out;
+}
+
+std::string WithCursorField(const std::string& bytes, std::size_t index,
+                            const std::string& value) {
+  std::vector<std::string> fields = CursorFields(bytes);
+  fields[index] = value;
+  const std::size_t line_begin = bytes.find('\n') + 1;
+  const std::size_t line_end = bytes.find('\n', line_begin);
+  std::string line;
+  for (const std::string& field : fields) {
+    line += (line.empty() ? "" : " ") + field;
+  }
+  return bytes.substr(0, line_begin) + line + bytes.substr(line_end);
+}
+
+TEST(SerializationCorruptTest, CheckpointCursorOutOfRangeIsRefused) {
+  Corpus corpus = MakeCorpus();
+  const Instance& instance = *corpus.checkpoint_instance;
+  const DependencySet& deps = corpus.checkpoint_deps;
+  auto compatible = [&](const std::string& bytes) {
+    std::istringstream in(bytes);
+    Result<ChaseCheckpoint> parsed = ChaseCheckpoint::Deserialize(in);
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.code(), ErrorCode::kCorrupt) << parsed.error();
+      return false;
+    }
+    return parsed.value().CompatibleWith(corpus.checkpoint_config, instance,
+                                         deps);
+  };
+  ASSERT_TRUE(compatible(corpus.checkpoint_bytes));
+  ASSERT_EQ(CursorFields(corpus.checkpoint_bytes).size(), 5u);
+
+  const std::string num_tuples = std::to_string(instance.NumTuples());
+  const std::string num_deps = std::to_string(deps.items.size());
+  const std::vector<std::string> pass_start_field =
+      CursorFields(corpus.checkpoint_bytes);
+  struct Edit {
+    std::size_t field;
+    std::string value;
+  };
+  const Edit edits[] = {
+      // match_begin past pass_start.
+      {0, std::to_string(std::stoull(pass_start_field[1]) + 1)},
+      // pass_start past the instance.
+      {1, std::to_string(instance.NumTuples() + 1)},
+      // next_dep past the dependency set.
+      {2, std::to_string(deps.items.size() + 1)},
+      // next_dep at 0: the wave's pending steps would lie past the cursor.
+      {2, "0"},
+      // next_dep at the end: the carried steps would lie before it.
+      {2, num_deps},
+      // Negative values parse as huge unsigned ones, or not at all.
+      {0, "-1"},
+      {1, "-1"},
+      {2, "-1"},
+      {2, "x"},
+  };
+  for (const Edit& edit : edits) {
+    EXPECT_FALSE(compatible(
+        WithCursorField(corpus.checkpoint_bytes, edit.field, edit.value)))
+        << "field " << edit.field << " = " << edit.value;
+  }
+
+  // Steps out of canonical order on either side of the cursor.
+  std::istringstream in(corpus.checkpoint_bytes);
+  ChaseCheckpoint healthy = ChaseCheckpoint::Deserialize(in).value();
+  ASSERT_FALSE(healthy.carried.empty());
+  ChaseCheckpoint unsorted = healthy;
+  unsorted.carried.push_back(unsorted.carried.front());
+  unsorted.carried.front().dep_index =
+      static_cast<int>(deps.items.size()) - 1;
+  EXPECT_FALSE(
+      unsorted.CompatibleWith(corpus.checkpoint_config, instance, deps));
+  ChaseCheckpoint foreign = healthy;
+  foreign.carried.back().dep_index = static_cast<int>(deps.items.size());
+  EXPECT_FALSE(
+      foreign.CompatibleWith(corpus.checkpoint_config, instance, deps));
 }
 
 TEST(SerializationCorruptTest, SessionSurvivesTheDamageSweep) {
@@ -294,7 +413,7 @@ TEST(SerializationCorruptTest, HealthyBytesStillRoundTrip) {
   }
   {
     ResultCache cache;
-    EXPECT_EQ(corpus.cache_bytes.rfind("tdlib-result-cache 2\n", 0), 0u);
+    EXPECT_EQ(corpus.cache_bytes.rfind("tdlib-result-cache 3\n", 0), 0u);
     std::istringstream in(corpus.cache_bytes);
     Result<int> loaded = LoadResultCache(in, &cache);
     EXPECT_TRUE(loaded.ok());
