@@ -18,7 +18,10 @@ constexpr char kMagic[] = "tdlib-result-cache";
 // Version 3: the chase matches each pass in dependency waves, so stored
 // hom_nodes (and match_tasks, carried_passes) are no longer what a solve
 // reports; a version-2 file would serve stale counters and is refused.
-constexpr int kVersion = 3;
+// Version 4: the chase keeps one pending step per head key and skips the
+// head checks of repeated keys, so stored hom_nodes (and hom_candidates)
+// moved again; a version-3 file is refused the same way.
+constexpr int kVersion = 4;
 
 // Upper bound on a plausible entry count: far above any real cache (a
 // 4M-entry cache would model at 1 GiB) and far below anything that could

@@ -11,6 +11,7 @@
 
 #include "core/satisfaction.h"
 #include "util/fault.h"
+#include "util/hash.h"
 #include "util/metrics.h"
 #include "util/parallel.h"
 #include "util/timer.h"
@@ -145,6 +146,18 @@ std::vector<int> FireStep(const Dependency& dep, Instance* instance,
   return new_ids;
 }
 
+// Writes the head key of `match` — its values on `positions`, the
+// dependency's HeadRowUniversals — into *key. Whether a step's head is
+// witnessed depends on its key alone, so of a dependency's steps with one key
+// the canonically first either fires (and its tuples witness the key) or is
+// already witnessed: the fire loop skips every later one. The match memo, the
+// wave merge and CompatibleWith all keep one step per (dependency, key).
+void HeadKeyInto(const std::vector<std::pair<int, int>>& positions,
+                 const Valuation& match, std::vector<int>* key) {
+  key->clear();
+  for (const auto& [attr, var] : positions) key->push_back(match.Get(attr, var));
+}
+
 // One collected applicable step. `row_ids` is the body image — the tuple id
 // each body row maps to under `match`, in tableau row order. It is the
 // canonical sort key that makes the fire order independent of how matches
@@ -152,6 +165,88 @@ std::vector<int> FireStep(const Dependency& dep, Instance* instance,
 // concurrent tasks), which is what keeps naive/delta and serial/pooled runs
 // byte-identical. Public (chase.h) because ChaseCheckpoint persists these.
 using PendingStep = PendingChaseStep;
+
+// A table from one dependency's head keys to ints: open addressing over an
+// arena that stores the keys back to back (all of a dependency's keys have
+// the same width), so a new key costs no allocation of its own. A match
+// task looks up one key per body match, and the lookup must stay cheaper
+// than the head probe it saves.
+class HeadKeyTable {
+ public:
+  explicit HeadKeyTable(std::size_t width) : width_(width), slots_(64, 0) {}
+
+  // Finds `key`, inserting it with value -1 when absent. Returns its value
+  // (valid until the next Insert) and whether it was inserted.
+  std::pair<int*, bool> Insert(const std::vector<int>& key) {
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = Hash(key.data()) & mask;; i = (i + 1) & mask) {
+      const std::uint32_t entry = slots_[i];
+      if (entry == 0) {
+        keys_.insert(keys_.end(), key.begin(), key.end());
+        values_.push_back(-1);
+        slots_[i] = static_cast<std::uint32_t>(values_.size());
+        if (values_.size() * 2 > slots_.size()) Grow();
+        return {&values_.back(), true};
+      }
+      if (std::equal(key.begin(), key.end(), KeyAt(entry - 1))) {
+        return {&values_[entry - 1], false};
+      }
+    }
+  }
+
+ private:
+  const int* KeyAt(std::size_t e) const { return keys_.data() + e * width_; }
+
+  // FNV-1a over the key's ints, then one SplitMix64 so the low bits the
+  // slot mask keeps depend on every bit of every value.
+  std::size_t Hash(const int* key) const {
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (std::size_t j = 0; j < width_; ++j) {
+      h = (h ^ static_cast<std::uint32_t>(key[j])) * 0x100000001b3ULL;
+    }
+    return static_cast<std::size_t>(SplitMix64(h));
+  }
+
+  // Doubles the slot array at half load, so a probe run stays short.
+  void Grow() {
+    slots_.assign(slots_.size() * 2, 0);
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t e = 0; e < values_.size(); ++e) {
+      std::size_t i = Hash(KeyAt(e)) & mask;
+      while (slots_[i] != 0) i = (i + 1) & mask;
+      slots_[i] = static_cast<std::uint32_t>(e + 1);
+    }
+  }
+
+  std::size_t width_;
+  std::vector<std::uint32_t> slots_;  // entry index + 1; 0 = empty
+  std::vector<int> keys_;             // width_ ints per entry
+  std::vector<int> values_;
+};
+
+// Walks a step list grouped by dependency and answers, per step, whether it
+// is the first of its dependency's run to hold its head key.
+class HeadKeyFilter {
+ public:
+  explicit HeadKeyFilter(const DependencySet& deps) : deps_(deps) {}
+
+  bool First(const PendingStep& step) {
+    if (step.dep_index != dep_index_) {
+      dep_index_ = step.dep_index;
+      positions_ = deps_.items[dep_index_].HeadRowUniversals();
+      held_ = HeadKeyTable(positions_.size());
+    }
+    HeadKeyInto(positions_, step.match, &key_);
+    return held_.Insert(key_).second;
+  }
+
+ private:
+  const DependencySet& deps_;
+  int dep_index_ = -1;
+  std::vector<std::pair<int, int>> positions_;
+  HeadKeyTable held_{0};
+  std::vector<int> key_;
+};
 
 // Carried re-checks are batched: one task re-checks a contiguous chunk of
 // the (canonically ordered) carried list. A gap-regime chase can carry a
@@ -245,13 +340,31 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
   // runs a head check per enumerated match, and rebuilding the checker
   // each time would put allocations on the hot path.
   HeadChecker head(dep, instance, base_options);
+  // Head-key memo: a key the task has seen maps to "witnessed" (-1) or to
+  // the index of its kept pending step. The task only reads the instance,
+  // so a repeated key's answer cannot change and it skips the head check;
+  // an unwitnessed repeat keeps whichever step has the smaller body image.
+  const std::vector<std::pair<int, int>> positions = dep.HeadRowUniversals();
+  HeadKeyTable seen(positions.size());
+  std::vector<int> key;
   // body_search.row_tuples() is the match's body image, already computed by
   // the backtracker — no per-row FindTuple on the hot path.
   std::uint64_t matches_seen = 0;
   auto collect = [&](const Valuation& h) {
-    if (!head.Witnessed(h, &out->stats)) {
-      out->pending.push_back(
-          PendingStep{task.dep_index, h, body_search.row_tuples()});
+    HeadKeyInto(positions, h, &key);
+    auto [kept_index, inserted] = seen.Insert(key);
+    if (inserted) {
+      if (!head.Witnessed(h, &out->stats)) {
+        *kept_index = static_cast<int>(out->pending.size());
+        out->pending.push_back(
+            PendingStep{task.dep_index, h, body_search.row_tuples()});
+      }
+    } else if (*kept_index >= 0) {
+      PendingStep& kept = out->pending[static_cast<std::size_t>(*kept_index)];
+      if (body_search.row_tuples() < kept.row_ids) {
+        kept.match = h;
+        kept.row_ids = body_search.row_tuples();
+      }
     }
     if (out->stats.budget_hit) return false;
     if (++matches_seen % kDeadlineCheckInterval == 0 &&
@@ -736,6 +849,15 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
                              static_cast<std::ptrdiff_t>(carried_prefix),
                          pending.end(), canonical);
     }
+    // One step per head key: a later step of a dependency whose key an
+    // earlier one holds — from another partition task or the carried
+    // prefix — is one the fire loop would skip.
+    HeadKeyFilter filter(deps);
+    pending.erase(std::remove_if(pending.begin(), pending.end(),
+                                 [&](const PendingStep& step) {
+                                   return !filter.First(step);
+                                 }),
+                  pending.end());
     if (cap_reached()) {
       // The burst cap already stopped this pass's fires: the wave's steps
       // wait for the next pass (delta mode only reaches here; the naive
@@ -1022,10 +1144,12 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
     return true;
   };
   // Each list lies on its side of the wave cursor, in canonical order —
-  // RunChase fires the one and merges the other as sorted runs.
+  // RunChase fires the one and merges the other as sorted runs — and holds
+  // one step per (dependency, head key), as RunChase keeps them.
   auto valid_steps = [&](const std::vector<PendingChaseStep>& steps,
                          bool before_cursor) {
     const PendingChaseStep* previous = nullptr;
+    HeadKeyFilter filter(deps);
     for (const PendingChaseStep& step : steps) {
       if (!valid_match(step.dep_index, step.match) ||
           !valid_ids(step.row_ids) ||
@@ -1038,6 +1162,7 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
               std::tie(previous->dep_index, previous->row_ids)) {
         return false;
       }
+      if (!filter.First(step)) return false;
       previous = &step;
     }
     return true;
@@ -1115,9 +1240,11 @@ bool ReadValuation(std::istream& is, Valuation* v) {
 // match_slice_ids), from tdckpt2 when the candidate-intersection flag left
 // the shape block, and from tdckpt3 when the resume point became a wave
 // cursor (match_begin, pass_start, next_dep) with a carried list beside the
-// wave's pending tail. Older files are rejected rather than resumed under
+// wave's pending tail, and from tdckpt4 when the pending and carried lists
+// came to hold one step per head key (and the counters dropped the head
+// checks of the rest). Older files are rejected rather than resumed under
 // a shape this build cannot reproduce.
-constexpr char kCheckpointMagic[] = "tdckpt4";
+constexpr char kCheckpointMagic[] = "tdckpt5";
 
 void WriteSteps(std::ostream& os, const std::vector<PendingChaseStep>& steps) {
   os << steps.size() << '\n';

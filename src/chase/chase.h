@@ -173,6 +173,12 @@ struct ChaseResult {
 /// match, and the body image (the tuple id each body row maps to, in tableau
 /// row order — the canonical fire-order sort key). This is the unit the
 /// burst cap carries between passes and the unit a ChaseCheckpoint persists.
+///
+/// RunChase holds at most one pending step per (dependency, head key), the
+/// head key being the match's values on the dependency's HeadRowUniversals:
+/// whether a head is witnessed depends on the key alone, so of the steps
+/// sharing one only the canonically first (smallest body image) can fire —
+/// its tuples witness the key for the rest, which are dropped when matched.
 struct PendingChaseStep {
   int dep_index;
   Valuation match;
@@ -192,7 +198,8 @@ struct PendingChaseStep {
 /// checkpoint records that position as a wave cursor — the pass's match
 /// window [match_begin, pass_start) and the first dependency not yet
 /// matched — plus the current wave's unfired tail and the carried steps the
-/// unmatched waves still have to re-check. Nothing of the unmatched waves
+/// unmatched waves still have to re-check, each list holding one step per
+/// (dependency, head key) (PendingChaseStep). Nothing of the unmatched waves
 /// is materialized: the resumed run matches them from the cursor against
 /// the same instance an uninterrupted run would, so it replays that run
 /// byte for byte: same tuples, same invented nulls, same trace, same
@@ -219,12 +226,14 @@ struct ChaseCheckpoint {
                                          ///  per pass; 0 = uncapped)
   std::vector<PendingChaseStep> pending;  ///< the current wave's unfired
                                           ///  steps, canonical (dep,
-                                          ///  body-image) order; every
+                                          ///  body-image) order, one per
+                                          ///  (dep, head key); every
                                           ///  dep_index < next_dep
   std::vector<PendingChaseStep> carried;  ///< steps an earlier pass's burst
                                           ///  cap carried into this one,
                                           ///  not yet re-checked; canonical
-                                          ///  order, every dep_index >=
+                                          ///  order, one per (dep, head
+                                          ///  key), every dep_index >=
                                           ///  next_dep
 
   // ---- Cumulative counters (ChaseResult so far) -------------------------
@@ -256,12 +265,13 @@ struct ChaseCheckpoint {
   /// arrive from disk — the wave cursor is in range (match_begin <=
   /// pass_start <= the instance size, next_dep <= the dependency count),
   /// the pending and carried lists are in canonical order on their side of
-  /// next_dep, and every pending, carried and trace entry's dependency
-  /// index, tuple ids and valuation are in range for the given dependency
-  /// set and instance (a corrupt file fails here, not as an out-of-bounds
-  /// access inside RunChase or a trace consumer). Budgets are NOT
-  /// considered: a compatible checkpoint whose progress exceeds the current
-  /// budgets is worth keeping for a later, bigger-budget round.
+  /// next_dep with no two steps of one dependency sharing a head key, and
+  /// every pending, carried and trace entry's dependency index, tuple ids
+  /// and valuation are in range for the given dependency set and instance
+  /// (a corrupt file fails here, not as an out-of-bounds access inside
+  /// RunChase or a trace consumer). Budgets are NOT considered: a
+  /// compatible checkpoint whose progress exceeds the current budgets is
+  /// worth keeping for a later, bigger-budget round.
   bool CompatibleWith(const ChaseConfig& config, const Instance& instance,
                       const DependencySet& deps) const;
 
@@ -312,7 +322,8 @@ using ChaseGoal = std::function<bool(const Instance&)>;
 /// dependencies in index order, each holding a fixed number of match tasks
 /// (a constant, never the pool width). A wave's body searches bind only
 /// tuples that existed at pass start, its head checks drop steps the
-/// pass's earlier fires already witnessed, and the wave fires before the
+/// pass's earlier fires already witnessed, it keeps one step per
+/// (dependency, head key) (PendingChaseStep), and the wave fires before the
 /// next one is matched. Firing wave after wave is firing the pass in
 /// canonical order, and a dropped step is one the fire-time re-check would
 /// skip, so the fired steps are those of matching the whole pass up front;

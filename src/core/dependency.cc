@@ -50,10 +50,15 @@ bool Dependency::IsFull() const {
 
 std::vector<std::pair<int, int>> Dependency::HeadRowUniversals() const {
   std::vector<std::pair<int, int>> positions;
-  const Row& row = head().row(0);
   for (int attr = 0; attr < schema().arity(); ++attr) {
-    if (rep_->universal[attr][row[attr]]) {
-      positions.emplace_back(attr, row[attr]);
+    // Each universal variable once, in variable order: a variable shared by
+    // several head rows is one position of the key.
+    std::vector<bool> in_head(rep_->universal[attr].size(), false);
+    for (const Row& row : head().rows()) {
+      if (rep_->universal[attr][row[attr]]) in_head[row[attr]] = true;
+    }
+    for (int var = 0; var < static_cast<int>(in_head.size()); ++var) {
+      if (in_head[var]) positions.emplace_back(attr, var);
     }
   }
   return positions;

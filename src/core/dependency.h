@@ -56,9 +56,11 @@ class Dependency {
     return rep_->universal[attr][var];
   }
 
-  /// The head row's universal positions as (attr, var) pairs in attribute
-  /// order: what a head-witness probe binds (ProbeRow,
-  /// logic/homomorphism.h). TDs only — an EID head has several rows.
+  /// The head rows' universal positions as (attr, var) pairs, sorted, each
+  /// once: the variables a head-witness check binds from a body match (for
+  /// a TD, one per attribute at most — what ProbeRow in
+  /// logic/homomorphism.h binds). A body match's values on them are its
+  /// *head key*: whether the head is witnessed depends on nothing else.
   std::vector<std::pair<int, int>> HeadRowUniversals() const;
 
   /// A dependency is *full* when every head variable is universal (the

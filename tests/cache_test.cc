@@ -539,22 +539,22 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
   ASSERT_FALSE(bad_version.ok());
   EXPECT_EQ(bad_version.code(), ErrorCode::kCorrupt);
 
-  Result<int> absurd_count = load("tdlib-result-cache 3\n99999999999\nend\n");
+  Result<int> absurd_count = load("tdlib-result-cache 4\n99999999999\nend\n");
   ASSERT_FALSE(absurd_count.ok());
   EXPECT_EQ(absurd_count.code(), ErrorCode::kCorrupt);
 
   Result<int> bad_verdict = load(
-      "tdlib-result-cache 3\n1\n"
+      "tdlib-result-cache 4\n1\n"
       "00000000000000aa 00000000000000bb 7 1 2 3 4 5 6 7\nend\n");
   ASSERT_FALSE(bad_verdict.ok());
   EXPECT_EQ(bad_verdict.code(), ErrorCode::kCorrupt);
 
-  Result<int> truncated = load("tdlib-result-cache 3\n2\n"
+  Result<int> truncated = load("tdlib-result-cache 4\n2\n"
                                "00000000000000aa 00000000000000bb 0 1 2 3 4 5 6 7\n");
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.code(), ErrorCode::kCorrupt);
 
-  Result<int> trailing = load("tdlib-result-cache 3\n0\nend\ngarbage\n");
+  Result<int> trailing = load("tdlib-result-cache 4\n0\nend\ngarbage\n");
   ASSERT_FALSE(trailing.ok());
   EXPECT_EQ(trailing.code(), ErrorCode::kCorrupt);
 
@@ -565,12 +565,13 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
 }
 
 TEST(ResultCacheStore, RefusesOlderVersionFiles) {
-  // Version-1 files were keyed by the previous fingerprint function, and
+  // Version-1 files were keyed by the previous fingerprint function,
   // version-2 entries carry the hom_nodes of the chase before it matched
-  // passes in dependency waves: either would serve what no solve computes
-  // now, so they are refused whole (tdbatch then starts cold) instead of
-  // loaded.
-  for (const char* version : {"1", "2"}) {
+  // passes in dependency waves, and version-3 entries those of the chase
+  // before it kept one pending step per head key: each would serve what no
+  // solve computes now, so they are refused whole (tdbatch then starts
+  // cold) instead of loaded.
+  for (const char* version : {"1", "2", "3"}) {
     ResultCache cache;
     std::istringstream in(std::string("tdlib-result-cache ") + version +
                           "\n1\n"
@@ -587,7 +588,7 @@ TEST(ResultCacheStore, RefusesOlderVersionFiles) {
   ResultCache empty;
   std::stringstream saved;
   SaveResultCache(saved, empty);
-  EXPECT_EQ(saved.str().rfind("tdlib-result-cache 3\n", 0), 0u);
+  EXPECT_EQ(saved.str().rfind("tdlib-result-cache 4\n", 0), 0u);
 }
 
 // ---- Service integration ---------------------------------------------------

@@ -376,21 +376,27 @@ TEST(ChaseCheckpoint, RejectsCorruptCountsWithoutCrashing) {
   // resize/reserve (std::length_error / OOM). Regression: these inputs used
   // to abort the process.
   std::istringstream huge_pending(
-      "tdckpt4 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n"
+      "tdckpt5 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n"
       "18446744073709551615\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_pending).ok());
   std::istringstream huge_carried(
-      "tdckpt4 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n"
+      "tdckpt5 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n"
       "18446744073709551615\n");
   EXPECT_FALSE(ChaseCheckpoint::Deserialize(huge_carried).ok());
   // The same header with an empty body is a well-formed checkpoint.
   std::istringstream current(
-      "tdckpt4 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n0\n");
+      "tdckpt5 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n0\n");
   EXPECT_TRUE(ChaseCheckpoint::Deserialize(current).ok());
   // Old-format checkpoints are rejected as corrupt, never resumed under a
   // guessed shape: tdckpt1 predates the match-strategy shape fields,
-  // tdckpt2 still carries the candidate-intersection flag, and tdckpt3
-  // resumes from a materialized pending tail instead of a wave cursor.
+  // tdckpt2 still carries the candidate-intersection flag, tdckpt3
+  // resumes from a materialized pending tail instead of a wave cursor, and
+  // tdckpt4's lists and counters predate one pending step per head key.
+  std::istringstream v4_format(
+      "tdckpt4 1\n0 0 0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n0\n");
+  Result<ChaseCheckpoint> v4 = ChaseCheckpoint::Deserialize(v4_format);
+  ASSERT_FALSE(v4.ok());
+  EXPECT_EQ(v4.code(), ErrorCode::kCorrupt);
   std::istringstream v3_format(
       "tdckpt3 1\n0 0 0\n0 0 0 0 0 0\n1 0 0 0 0 1 0\n0\n0\n");
   Result<ChaseCheckpoint> v3 = ChaseCheckpoint::Deserialize(v3_format);

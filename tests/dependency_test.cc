@@ -94,6 +94,25 @@ TEST(Dependency, EidWithConjunctiveConclusion) {
   EXPECT_FALSE(d.value().IsTrivial());
 }
 
+TEST(Dependency, HeadRowUniversalsCoverEveryHeadRow) {
+  // The head key positions: each universal variable of any head row once,
+  // sorted by (attribute, variable). Existentials (a9) are not part of it.
+  auto names = [](const Dependency& d) {
+    std::vector<std::string> out;
+    for (const auto& [attr, var] : d.HeadRowUniversals()) {
+      out.push_back(d.schema().name(attr) + ":" + d.head().VarName(attr, var));
+    }
+    return out;
+  };
+  EXPECT_EQ(names(Fig1()),
+            (std::vector<std::string>{"STYLE:b", "SIZE:c2"}));
+  Result<Dependency> eid = ParseDependency(
+      GarmentSchema(), "R(a,b,c) & R(a,b2,c2) => R(a9,b,c) & R(a9,b,c2)");
+  ASSERT_TRUE(eid.ok()) << eid.error();
+  EXPECT_EQ(names(eid.value()),
+            (std::vector<std::string>{"STYLE:b", "SIZE:c", "SIZE:c2"}));
+}
+
 TEST(Dependency, RenameVariablesPreservesStructure) {
   Dependency d = Fig1();
   Dependency renamed = d.RenameVariables("_copy");

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -311,6 +312,55 @@ TEST(SerializationCorruptTest, CheckpointCursorOutOfRangeIsRefused) {
       foreign.CompatibleWith(corpus.checkpoint_config, instance, deps));
 }
 
+TEST(SerializationCorruptTest, CheckpointRepeatedHeadKeyIsRefused) {
+  // RunChase keeps one pending step per (dependency, head key), so a list
+  // holding two steps of one dependency with equal head keys did not come
+  // from it. The twin below follows the list's last step in canonical order
+  // (the largest body image) and shares its valuation; rebinding one key
+  // position to a key no step holds makes the same list acceptable.
+  Corpus corpus = MakeCorpus();
+  const Instance& instance = *corpus.checkpoint_instance;
+  const DependencySet& deps = corpus.checkpoint_deps;
+  std::istringstream in(corpus.checkpoint_bytes);
+  const ChaseCheckpoint healthy = ChaseCheckpoint::Deserialize(in).value();
+  ASSERT_TRUE(
+      healthy.CompatibleWith(corpus.checkpoint_config, instance, deps));
+  auto with_twin = [&](std::vector<PendingChaseStep> ChaseCheckpoint::*list,
+                       bool same_key) {
+    ChaseCheckpoint twin = healthy;
+    PendingChaseStep step = (twin.*list).back();
+    const Dependency& dep = deps.items[step.dep_index];
+    step.row_ids.assign(step.row_ids.size(),
+                        static_cast<int>(instance.NumTuples()) - 1);
+    auto key_of = [&](const Valuation& match) {
+      std::vector<int> key;
+      for (const auto& [attr, var] : dep.HeadRowUniversals()) {
+        key.push_back(match.Get(attr, var));
+      }
+      return key;
+    };
+    std::set<std::vector<int>> held;
+    for (const PendingChaseStep& other : twin.*list) {
+      if (other.dep_index == step.dep_index) held.insert(key_of(other.match));
+    }
+    if (!same_key) {
+      const auto [attr, var] = dep.HeadRowUniversals().front();
+      for (int value = 0; value < instance.DomainSize(attr) &&
+                          held.count(key_of(step.match)) > 0;
+           ++value) {
+        step.match.Set(attr, var, value);
+      }
+    }
+    EXPECT_EQ(held.count(key_of(step.match)) > 0, same_key);
+    (twin.*list).push_back(step);
+    return twin.CompatibleWith(corpus.checkpoint_config, instance, deps);
+  };
+  EXPECT_FALSE(with_twin(&ChaseCheckpoint::pending, /*same_key=*/true));
+  EXPECT_FALSE(with_twin(&ChaseCheckpoint::carried, /*same_key=*/true));
+  EXPECT_TRUE(with_twin(&ChaseCheckpoint::pending, /*same_key=*/false));
+  EXPECT_TRUE(with_twin(&ChaseCheckpoint::carried, /*same_key=*/false));
+}
+
 TEST(SerializationCorruptTest, SessionSurvivesTheDamageSweep) {
   Corpus corpus = MakeCorpus();
   int rejected = 0;
@@ -413,7 +463,7 @@ TEST(SerializationCorruptTest, HealthyBytesStillRoundTrip) {
   }
   {
     ResultCache cache;
-    EXPECT_EQ(corpus.cache_bytes.rfind("tdlib-result-cache 3\n", 0), 0u);
+    EXPECT_EQ(corpus.cache_bytes.rfind("tdlib-result-cache 4\n", 0), 0u);
     std::istringstream in(corpus.cache_bytes);
     Result<int> loaded = LoadResultCache(in, &cache);
     EXPECT_TRUE(loaded.ok());

@@ -1,7 +1,9 @@
 // Exactness goldens for the chase's fire sequence.
 //
-// The literals below were recorded by the library before the chase matched
-// and fired each pass in dependency waves. They pin, per case, the number of
+// The gap and random-TD literals below were recorded by the library before
+// the chase matched and fired each pass in dependency waves, the
+// repeated-key literals before it kept one pending step per head key. They
+// pin, per case, the number of
 // fires and passes, a hash of the recorded trace and a hash of
 // Instance::Serialize of the instance the run stopped on — the bytes a
 // change to how a pass is matched must not move. Search counters (hom_nodes,
@@ -11,18 +13,22 @@
 // The cases are the reduction sweep's gap jobs, whose chase pumps until the
 // step budget cuts it mid-pass, at three budgets each, in the default shape
 // and in the burst-capped shapes that carry steps between passes; plus a
-// random-TD batch. Each trace must also be a prefix of the trace the same
-// run produces under a larger budget.
+// random-TD batch and a hand-built program whose body matches repeat head
+// keys. Each gap trace must also be a prefix of the trace the same run
+// produces under a larger budget.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <set>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "chase/chase.h"
 #include "chase/implication.h"
 #include "core/generators.h"
+#include "core/parser.h"
 #include "engine/thread_pool.h"
 #include "engine/workload.h"
 #include "util/rng.h"
@@ -253,6 +259,142 @@ TEST(WaveChaseGolden, RandomTdBatch) {
     }
   }
   ExpectGolden(lines, kGoldenRandom);
+}
+
+
+// ---- One pending step per head key -----------------------------------------
+//
+// A step's head key is its body match's values on the head's universal
+// positions (Dependency::HeadRowUniversals). A hand-built program whose body
+// matches repeat each head key several times: dependency 0 joins two rows on
+// B and concludes R(a, b9, c2), key (a, c2), reached once per shared B value
+// and per C of the first row; dependency 1 is full, key (a, b2, c), reached
+// from every second row carrying b2; dependency 2 is an EID whose two head
+// rows share the invented b9, key (a, c, c2). None invents an A or C value,
+// so the chase reaches a fixpoint. Its literals were printed by the library
+// before pending steps collapsed to one per head key.
+struct RepeatedKeys {
+  DependencySet deps;
+  Instance seed;
+};
+
+RepeatedKeys MakeRepeatedKeys() {
+  SchemaPtr schema = MakeSchema({"A", "B", "C"});
+  RepeatedKeys program{DependencySet(), Instance(schema)};
+  for (const char* text : {"R(a,b,c) & R(a2,b,c2) => R(a,b9,c2)",
+                           "R(a,b,c) & R(a2,b2,c2) => R(a,b2,c)",
+                           "R(a,b,c) & R(a2,b,c2) => R(a,b9,c) & R(a,b9,c2)"}) {
+    Result<Dependency> dep = ParseDependency(schema, text);
+    EXPECT_TRUE(dep.ok()) << text;
+    program.deps.Add(dep.value());
+  }
+  const int rows[][3] = {{0, 0, 1}, {0, 0, 2}, {0, 0, 3}, {0, 1, 1},
+                         {1, 0, 2}, {1, 2, 2}, {3, 0, 0}, {3, 0, 2}};
+  for (const auto& row : rows) {
+    Tuple t(3);
+    for (int attr = 0; attr < 3; ++attr) {
+      t[attr] = program.seed.InternValue(
+          attr, std::string(1, static_cast<char>('a' + attr)) +
+                    std::to_string(row[attr]));
+    }
+    program.seed.AddTuple(t);
+  }
+  return program;
+}
+
+std::vector<int> HeadKey(const Dependency& dep, const Valuation& match) {
+  std::vector<int> key;
+  for (const auto& [attr, var] : dep.HeadRowUniversals()) {
+    key.push_back(match.Get(attr, var));
+  }
+  return key;
+}
+
+// label status steps passes trace-hash instance-hash
+constexpr char kGoldenRepeatedKeys[] =
+    "steps50/delta/serial step-limit 50 2 6bde03dfbeef2124 8a0a3599543960aa\n"
+    "steps50/delta/pool4 step-limit 50 2 6bde03dfbeef2124 8a0a3599543960aa\n"
+    "steps50/naive/serial step-limit 50 2 6bde03dfbeef2124 8a0a3599543960aa\n"
+    "steps50/naive/pool4 step-limit 50 2 6bde03dfbeef2124 8a0a3599543960aa\n"
+    "steps50/cap4/serial step-limit 50 13 38e846075d89b832 a5e4b34c26799268\n"
+    "steps50/cap4/pool4 step-limit 50 13 38e846075d89b832 a5e4b34c26799268\n"
+    "fixpoint/delta/serial fixpoint 210 3 fc0050df218e68b9 e55114db2db2c009\n"
+    "fixpoint/delta/pool4 fixpoint 210 3 fc0050df218e68b9 e55114db2db2c009\n"
+    "fixpoint/naive/serial fixpoint 210 3 fc0050df218e68b9 e55114db2db2c009\n"
+    "fixpoint/naive/pool4 fixpoint 210 3 fc0050df218e68b9 e55114db2db2c009\n"
+    "fixpoint/cap4/serial fixpoint 100 26 52f8e104603a3066 29b01472eb878ecc\n"
+    "fixpoint/cap4/pool4 fixpoint 100 26 52f8e104603a3066 29b01472eb878ecc";
+
+TEST(WaveChaseGolden, RepeatedHeadKeys) {
+  RepeatedKeys program = MakeRepeatedKeys();
+  for (const Dependency& dep : program.deps.items) {
+    std::size_t matches = 0;
+    std::set<std::vector<int>> keys;
+    HomomorphismSearch search(dep.body(), program.seed, HomSearchOptions{});
+    search.ForEach([&](const Valuation& h) {
+      ++matches;
+      keys.insert(HeadKey(dep, h));
+      return true;
+    });
+    EXPECT_GT(matches, keys.size()) << dep.ToString();
+    if (dep.IsTd()) {
+      EXPECT_GE(matches, 3 * keys.size()) << dep.ToString();
+    }
+  }
+
+  ChaseConfig delta;
+  ChaseConfig naive;
+  naive.use_delta = false;
+  ChaseConfig capped;
+  capped.max_fires_per_pass = 4;
+  const Shape shapes[] = {{"delta", delta}, {"naive", naive}, {"cap4", capped}};
+  ThreadPool pool(4);
+  TaskExecutor* const pools[] = {nullptr, &pool};
+  std::vector<std::string> lines;
+  for (std::uint64_t budget : {std::uint64_t{50}, std::uint64_t{0}}) {
+    for (const Shape& shape : shapes) {
+      for (TaskExecutor* executor : pools) {
+        ChaseConfig config = shape.config;
+        config.max_steps = budget;
+        config.record_trace = true;
+        config.pool = executor;
+        Instance instance = program.seed;
+        ChaseRun run;
+        run.result = RunChase(&instance, program.deps, config);
+        std::ostringstream os;
+        instance.Serialize(os);
+        run.instance_bytes = os.str();
+        lines.push_back(Line(std::string(budget == 0 ? "fixpoint" : "steps50") +
+                                 "/" + shape.name + "/" +
+                                 (executor == nullptr ? "serial" : "pool4"),
+                             run));
+      }
+    }
+  }
+  ExpectGolden(lines, kGoldenRepeatedKeys);
+
+  // A run stopped by the step budget parks one step per (dependency, head
+  // key) — in the current wave's pending tail and in the carried backlog.
+  for (const Shape& shape : shapes) {
+    ChaseConfig config = shape.config;
+    config.max_steps = 50;
+    Instance instance = program.seed;
+    ChaseCheckpoint checkpoint;
+    RunChase(&instance, program.deps, config, {}, &checkpoint);
+    ASSERT_TRUE(checkpoint.valid) << shape.name;
+    EXPECT_FALSE(checkpoint.pending.empty()) << shape.name;
+    std::set<std::pair<int, std::vector<int>>> held;
+    for (const auto* list : {&checkpoint.pending, &checkpoint.carried}) {
+      for (const PendingChaseStep& step : *list) {
+        EXPECT_TRUE(
+            held.emplace(step.dep_index,
+                         HeadKey(program.deps.items[step.dep_index],
+                                 step.match))
+                .second)
+            << shape.name;
+      }
+    }
+  }
 }
 
 }  // namespace
