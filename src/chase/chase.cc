@@ -117,33 +117,33 @@ void ReserveForBudget(Instance* instance, const DependencySet& deps,
 // body enumeration.
 
 // Inserts dep's head rows under `h`, inventing labeled nulls for existential
-// variables. Returns ids of newly inserted tuples.
-std::vector<int> FireStep(const Dependency& dep, Instance* instance,
-                          const Valuation& h) {
+// variables, and sets *new_ids to the ids of the newly inserted tuples.
+// `extended` and `tuple` are the caller's scratch, reused across fires.
+void FireStep(const Dependency& dep, Instance* instance, const Valuation& h,
+              Valuation* extended, Tuple* tuple, std::vector<int>* new_ids) {
   // One fresh null per distinct existential variable that appears in the
   // head (shared across head rows, as EID semantics requires).
-  Valuation extended = h;
+  *extended = h;
   for (const Row& row : dep.head().rows()) {
     for (int attr = 0; attr < dep.schema().arity(); ++attr) {
       int var = row[attr];
-      if (!extended.Bound(attr, var)) {
+      if (!extended->Bound(attr, var)) {
         int fresh = instance->AddValue(attr, "", /*labeled_null=*/true);
-        extended.Set(attr, var, fresh);
+        extended->Set(attr, var, fresh);
       }
     }
   }
-  std::vector<int> new_ids;
+  new_ids->clear();
+  tuple->resize(static_cast<std::size_t>(dep.schema().arity()));
   for (const Row& row : dep.head().rows()) {
-    Tuple t(dep.schema().arity());
     for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-      t[attr] = extended.Get(attr, row[attr]);
+      (*tuple)[attr] = extended->Get(attr, row[attr]);
     }
     std::size_t before = instance->NumTuples();
-    if (instance->AddTuple(t)) {
-      new_ids.push_back(static_cast<int>(before));
+    if (instance->AddTuple(*tuple)) {
+      new_ids->push_back(static_cast<int>(before));
     }
   }
-  return new_ids;
 }
 
 // Writes the head key of `match` — its values on `positions`, the
@@ -233,17 +233,17 @@ class HeadKeyFilter {
   bool First(const PendingStep& step) {
     if (step.dep_index != dep_index_) {
       dep_index_ = step.dep_index;
-      positions_ = deps_.items[dep_index_].HeadRowUniversals();
-      held_ = HeadKeyTable(positions_.size());
+      positions_ = &deps_.items[dep_index_].HeadRowUniversals();
+      held_ = HeadKeyTable(positions_->size());
     }
-    HeadKeyInto(positions_, step.match, &key_);
+    HeadKeyInto(*positions_, step.match, &key_);
     return held_.Insert(key_).second;
   }
 
  private:
   const DependencySet& deps_;
   int dep_index_ = -1;
-  std::vector<std::pair<int, int>> positions_;
+  const std::vector<std::pair<int, int>>* positions_ = nullptr;
   HeadKeyTable held_{0};
   std::vector<int> key_;
 };
@@ -344,7 +344,7 @@ void RunMatchTask(const MatchTask& task, const DependencySet& deps,
   // the index of its kept pending step. The task only reads the instance,
   // so a repeated key's answer cannot change and it skips the head check;
   // an unwitnessed repeat keeps whichever step has the smaller body image.
-  const std::vector<std::pair<int, int>> positions = dep.HeadRowUniversals();
+  const std::vector<std::pair<int, int>>& positions = dep.HeadRowUniversals();
   HeadKeyTable seen(positions.size());
   std::vector<int> key;
   // body_search.row_tuples() is the match's body image, already computed by
@@ -904,6 +904,10 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
     // and therefore sees every tuple the intervening fires insert.
     std::optional<HeadChecker> fire_head;
     int fire_head_dep = -1;
+    // FireStep's scratch, reused across the wave's fires.
+    Valuation extended;
+    Tuple head_tuple;
+    std::vector<int> new_ids;
     for (; pending_pos < pending.size(); ++pending_pos) {
       const std::size_t pi = pending_pos;
       if (cap_reached()) {
@@ -947,11 +951,11 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       }
       // An earlier fire in this wave may have witnessed this head already.
       bool witnessed = false;
-      std::vector<int> new_ids;
       try {
         witnessed = fire_head->Witnessed(step.match, &fire_stats);
         if (!fire_stats.budget_hit && !witnessed) {
-          new_ids = FireStep(dep, instance, step.match);
+          FireStep(dep, instance, step.match, &extended, &head_tuple,
+                   &new_ids);
         }
       } catch (const std::bad_alloc&) {
         // Real allocation failure: park instead of crashing. Best-effort —
@@ -973,8 +977,10 @@ ChaseResult RunChase(Instance* instance, const DependencySet& deps,
       ++result.steps;
       ++fired_this_pass;
       if (config.record_trace) {
+        // Nothing reads pending[pi] after its fire: a stop below checkpoints
+        // the tail from pi + 1, and a burst cap carries from a later index.
         result.trace.push_back(
-            ChaseStep{step.dep_index, step.match, std::move(new_ids)});
+            ChaseStep{step.dep_index, std::move(step.match), new_ids});
       }
       if (config.eager_goal_check && goal && goal(*instance)) {
         flush_fire_stats();
@@ -1123,16 +1129,13 @@ bool ChaseCheckpoint::CompatibleWith(const ChaseConfig& config,
     if (dep_index < 0 || dep_index >= static_cast<int>(deps.items.size())) {
       return false;
     }
-    const Valuation reference = Valuation::For(deps.items[dep_index].body());
-    if (match.values.size() != reference.values.size()) return false;
-    for (std::size_t attr = 0; attr < reference.values.size(); ++attr) {
-      if (match.values[attr].size() != reference.values[attr].size()) {
-        return false;
-      }
-      for (int v : match.values[attr]) {
-        if (v < -1 || v >= instance.DomainSize(static_cast<int>(attr))) {
-          return false;
-        }
+    const Tableau& body = deps.items[dep_index].body();
+    if (match.arity() != body.schema().arity()) return false;
+    for (int attr = 0; attr < match.arity(); ++attr) {
+      if (match.NumVars(attr) != body.NumVars(attr)) return false;
+      for (int var = 0; var < match.NumVars(attr); ++var) {
+        const int v = match.Get(attr, var);
+        if (v < -1 || v >= instance.DomainSize(attr)) return false;
       }
     }
     return true;
@@ -1218,20 +1221,29 @@ bool ReadIntVec(std::istream& is, std::vector<int>* v) {
   return true;
 }
 
+// A valuation is written as its arity, then one line per attribute in
+// WriteIntVec's layout: the column's length and its values.
 void WriteValuation(std::ostream& os, const Valuation& v) {
-  os << v.values.size() << '\n';
-  for (const std::vector<int>& column : v.values) WriteIntVec(os, column);
+  os << v.arity() << '\n';
+  for (int attr = 0; attr < v.arity(); ++attr) {
+    os << v.NumVars(attr);
+    for (int var = 0; var < v.NumVars(attr); ++var) {
+      os << ' ' << v.Get(attr, var);
+    }
+    os << '\n';
+  }
 }
 
 bool ReadValuation(std::istream& is, Valuation* v) {
   std::size_t attrs;
   if (!(is >> attrs)) return false;
-  v->values.clear();
+  std::vector<std::vector<int>> columns;
   for (std::size_t a = 0; a < attrs; ++a) {
     std::vector<int> column;
     if (!ReadIntVec(is, &column)) return false;
-    v->values.push_back(std::move(column));
+    columns.push_back(std::move(column));
   }
+  *v = Valuation::FromColumns(columns);
   return true;
 }
 

@@ -1,5 +1,6 @@
 #include "core/dependency.h"
 
+#include <algorithm>
 #include <sstream>
 
 #include "core/satisfaction.h"
@@ -35,8 +36,21 @@ Result<Dependency> Dependency::Builder::Build() && {
       universal[attr][r[attr]] = true;
     }
   }
+  std::vector<std::pair<int, int>> head_universals;
+  for (const Row& r : head_.rows()) {
+    for (int attr = 0; attr < head_.schema().arity(); ++attr) {
+      if (universal[attr][r[attr]]) head_universals.emplace_back(attr, r[attr]);
+    }
+  }
+  // Sorted, each once: a variable shared by several head rows is one
+  // position of the key.
+  std::sort(head_universals.begin(), head_universals.end());
+  head_universals.erase(
+      std::unique(head_universals.begin(), head_universals.end()),
+      head_universals.end());
   return Dependency(std::make_shared<const Rep>(
-      Rep{std::move(body_), std::move(head_), std::move(universal)}));
+      Rep{std::move(body_), std::move(head_), std::move(universal),
+          std::move(head_universals)}));
 }
 
 bool Dependency::IsFull() const {
@@ -46,22 +60,6 @@ bool Dependency::IsFull() const {
     }
   }
   return true;
-}
-
-std::vector<std::pair<int, int>> Dependency::HeadRowUniversals() const {
-  std::vector<std::pair<int, int>> positions;
-  for (int attr = 0; attr < schema().arity(); ++attr) {
-    // Each universal variable once, in variable order: a variable shared by
-    // several head rows is one position of the key.
-    std::vector<bool> in_head(rep_->universal[attr].size(), false);
-    for (const Row& row : head().rows()) {
-      if (rep_->universal[attr][row[attr]]) in_head[row[attr]] = true;
-    }
-    for (int var = 0; var < static_cast<int>(in_head.size()); ++var) {
-      if (in_head[var]) positions.emplace_back(attr, var);
-    }
-  }
-  return positions;
 }
 
 bool Dependency::IsTrivial() const {

@@ -32,11 +32,11 @@ namespace tdlib {
 /// variable is *universal* iff it occurs in some body row; all other
 /// variables are existentially quantified in the head.
 ///
-/// A Dependency is immutable after Build(), so its body, head and
-/// universality bitmap live in one shared, const representation: copying a
-/// Dependency (into a Job, a DependencySet, a wire message, an in-flight
-/// runner) bumps a reference count instead of copying tableaux, and copies
-/// alias the same storage for as long as any of them lives.
+/// A Dependency is immutable after Build(), so its body, head, universality
+/// bitmap and head-row universals live in one shared, const representation:
+/// copying a Dependency (into a Job, a DependencySet, a wire message, an
+/// in-flight runner) bumps a reference count instead of copying tableaux,
+/// and copies alias the same storage for as long as any of them lives.
 class Dependency {
  public:
   /// Use DependencyBuilder to construct; this type is immutable after build.
@@ -61,7 +61,10 @@ class Dependency {
   /// a TD, one per attribute at most — what ProbeRow in
   /// logic/homomorphism.h binds). A body match's values on them are its
   /// *head key*: whether the head is witnessed depends on nothing else.
-  std::vector<std::pair<int, int>> HeadRowUniversals() const;
+  /// Computed once by Build().
+  const std::vector<std::pair<int, int>>& HeadRowUniversals() const {
+    return rep_->head_universals;
+  }
 
   /// A dependency is *full* when every head variable is universal (the
   /// paper: "if a*, b*, ..., c* all appear among the antecedents, then the
@@ -89,6 +92,7 @@ class Dependency {
     Tableau body;
     Tableau head;
     std::vector<std::vector<bool>> universal;  // [attr][var]
+    std::vector<std::pair<int, int>> head_universals;
   };
 
   explicit Dependency(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}

@@ -12,16 +12,12 @@ namespace tdlib {
 // exactly that discipline: the scratch is the CALLER's.
 void HeadSeedValuationInto(const Dependency& dep, const Valuation& body_match,
                            Valuation* out) {
-  out->values.resize(static_cast<std::size_t>(dep.schema().arity()));
+  // ResetFor reuses *out's buffer: a match stream seeds thousands of head
+  // searches per dependency without touching the allocator.
+  out->ResetFor(dep.head());
   for (int attr = 0; attr < dep.schema().arity(); ++attr) {
-    // assign reuses the column's capacity: a match stream seeds thousands of
-    // head searches per dependency without touching the allocator.
-    out->values[attr].assign(
-        static_cast<std::size_t>(dep.head().NumVars(attr)), -1);
     for (int v = 0; v < dep.head().NumVars(attr); ++v) {
-      if (dep.IsUniversal(attr, v)) {
-        out->values[attr][v] = body_match.Get(attr, v);
-      }
+      if (dep.IsUniversal(attr, v)) out->Set(attr, v, body_match.Get(attr, v));
     }
   }
 }
@@ -39,8 +35,7 @@ HeadChecker::HeadChecker(const Dependency& dep, const Instance& instance,
   // The probe reproduces an unrestricted search; a caller asking for a
   // delta window or an id cap gets that search itself.
   if (dep.IsTd() && options.delta_begin < 0 && options.id_cap < 0) {
-    universals_ = dep.HeadRowUniversals();
-    key_ = universals_;
+    key_ = dep.HeadRowUniversals();
   } else {
     search_.emplace(dep.head(), instance, options);
   }
@@ -48,8 +43,10 @@ HeadChecker::HeadChecker(const Dependency& dep, const Instance& instance,
 
 bool HeadChecker::Witnessed(const Valuation& h, HomSearchStats* stats) {
   if (!search_.has_value()) {
-    for (std::size_t i = 0; i < universals_.size(); ++i) {
-      key_[i].second = h.Get(universals_[i].first, universals_[i].second);
+    const std::vector<std::pair<int, int>>& universals =
+        dep_.HeadRowUniversals();
+    for (std::size_t i = 0; i < universals.size(); ++i) {
+      key_[i].second = h.Get(universals[i].first, universals[i].second);
     }
     return ProbeRow(instance_, key_, max_nodes_, stats) >= 0;
   }

@@ -84,9 +84,8 @@ class HeadChecker {
   Dependency dep_;
   const Instance& instance_;
   std::uint64_t max_nodes_;
-  // TD heads: the head row's universal (attr, var) positions, and the probe
-  // key — one (attr, value) per position, refilled from each body match.
-  std::vector<std::pair<int, int>> universals_;
+  // TD heads: the probe key — one (attr, value) per position of the
+  // dependency's HeadRowUniversals, refilled from each body match.
   std::vector<std::pair<int, int>> key_;
   // Multi-row heads: the general search and its seed scratch.
   std::optional<HomomorphismSearch> search_;

@@ -26,8 +26,11 @@ std::string RenderTrace(const std::vector<ChaseStep>& trace) {
   std::ostringstream oss;
   for (const ChaseStep& step : trace) {
     oss << step.dependency_index << '[';
-    for (const auto& column : step.body_match.values) {
-      for (int v : column) oss << v << ' ';
+    const Valuation& match = step.body_match;
+    for (int attr = 0; attr < match.arity(); ++attr) {
+      for (int var = 0; var < match.NumVars(attr); ++var) {
+        oss << match.Get(attr, var) << ' ';
+      }
       oss << '|';
     }
     oss << "]->";

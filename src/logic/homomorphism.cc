@@ -1,25 +1,47 @@
 #include "logic/homomorphism.h"
 
 #include <algorithm>
+#include <cassert>
 #include <limits>
 
 namespace tdlib {
 
 Valuation Valuation::For(const Tableau& t) {
   Valuation v;
-  v.values.resize(t.schema().arity());
-  for (int attr = 0; attr < t.schema().arity(); ++attr) {
-    v.values[attr].assign(t.NumVars(attr), -1);
-  }
+  v.ResetFor(t);
   return v;
+}
+
+void Valuation::ResetFor(const Tableau& t) {
+  const int arity = t.schema().arity();
+  cells_.clear();
+  cells_.reserve(static_cast<std::size_t>(arity + 1 + t.TotalVars()));
+  int slot = arity + 1;
+  for (int attr = 0; attr <= arity; ++attr) {
+    cells_.push_back(slot);
+    if (attr < arity) slot += t.NumVars(attr);
+  }
+  cells_.resize(static_cast<std::size_t>(slot), -1);
 }
 
 Valuation Valuation::Identity(const Tableau& t) {
   Valuation v = For(t);
-  for (std::vector<int>& column : v.values) {
-    for (std::size_t var = 0; var < column.size(); ++var) {
-      column[var] = static_cast<int>(var);
-    }
+  for (int attr = 0; attr < v.arity(); ++attr) {
+    for (int var = 0; var < v.NumVars(attr); ++var) v.Set(attr, var, var);
+  }
+  return v;
+}
+
+Valuation Valuation::FromColumns(const std::vector<std::vector<int>>& columns) {
+  Valuation v;
+  int slot = static_cast<int>(columns.size()) + 1;
+  for (const std::vector<int>& column : columns) {
+    v.cells_.push_back(slot);
+    slot += static_cast<int>(column.size());
+  }
+  v.cells_.push_back(slot);
+  for (const std::vector<int>& column : columns) {
+    v.cells_.insert(v.cells_.end(), column.begin(), column.end());
   }
   return v;
 }
@@ -30,14 +52,48 @@ HomomorphismSearch::HomomorphismSearch(const Tableau& source,
     : source_(source),
       target_(target),
       options_(options),
+      arity_(source.schema().arity()),
       valuation_(Valuation::For(source)),
-      row_done_(source.num_rows(), false),
-      row_tuples_(source.num_rows(), -1),
-      candidate_storage_(source.num_rows()),
-      undo_storage_(source.num_rows()) {}
+      occurrences_(static_cast<std::size_t>(valuation_.NumSlots()), 0),
+      positions_(static_cast<std::size_t>(source.num_rows() * arity_)),
+      join_count_(static_cast<std::size_t>(source.num_rows()), 0),
+      row_done_(static_cast<std::size_t>(source.num_rows()), false),
+      row_tuples_(static_cast<std::size_t>(source.num_rows()), -1) {
+  // Within a row each attribute holds one variable, so counting positions
+  // counts rows.
+  for (const Row& row : source.rows()) {
+    for (int attr = 0; attr < arity_; ++attr) {
+      ++occurrences_[valuation_.Slot(attr, row[attr])];
+    }
+  }
+  undo_.reserve(positions_.size());
+  SplitPositions();
+}
 
 void HomomorphismSearch::SetInitial(const Valuation& initial) {
+  assert(initial.NumSlots() == valuation_.NumSlots());
   valuation_ = initial;
+  SplitPositions();
+}
+
+void HomomorphismSearch::SplitPositions() {
+  auto is_join = [&](int slot) {
+    return occurrences_[slot] > 1 || valuation_.AtSlot(slot) >= 0;
+  };
+  for (int r = 0; r < source_.num_rows(); ++r) {
+    const Row& row = source_.row(r);
+    Position* out = &positions_[r * arity_];
+    int next = 0;
+    for (int attr = 0; attr < arity_; ++attr) {
+      const int slot = valuation_.Slot(attr, row[attr]);
+      if (is_join(slot)) out[next++] = Position{attr, slot};
+    }
+    join_count_[r] = next;
+    for (int attr = 0; attr < arity_; ++attr) {
+      const int slot = valuation_.Slot(attr, row[attr]);
+      if (!is_join(slot)) out[next++] = Position{attr, slot};
+    }
+  }
 }
 
 HomSearchStatus HomomorphismSearch::FindAny(Valuation* result) {
@@ -105,11 +161,11 @@ int HomomorphismSearch::PickNextRow() const {
                               static_cast<std::size_t>(max_id)));
     if (capped > min_id) range = static_cast<std::size_t>(capped - min_id);
     std::size_t score = range;
-    const Row& r = source_.row(i);
-    for (int attr = 0; attr < source_.schema().arity(); ++attr) {
-      int bound = valuation_.Get(attr, r[attr]);
+    const Position* join = RowPositions(i);
+    for (int k = 0; k < join_count_[i]; ++k) {
+      int bound = valuation_.AtSlot(join[k].slot);
       if (bound >= 0) {
-        score = std::min(score, CountBindable(attr, bound));
+        score = std::min(score, CountBindable(join[k].attr, bound));
       }
     }
     if (score < best_score) {
@@ -120,70 +176,56 @@ int HomomorphismSearch::PickNextRow() const {
   return best;
 }
 
-void HomomorphismSearch::RowCandidates(int row_idx, int min_id, int max_id,
-                                       std::vector<int>* storage,
+bool HomomorphismSearch::RowCandidates(int row_idx, int min_id,
                                        IdSpan runs[2]) const {
-  runs[0] = IdSpan();
-  runs[1] = IdSpan();
   // Shortest bound posting list (ties keep the lowest attribute); the
   // other bound positions are filtered per candidate by TryBindRow.
-  const Row& r = source_.row(row_idx);
+  const Position* join = RowPositions(row_idx);
   int best_attr = -1;
   int best_value = -1;
   std::size_t best_size = 0;
-  for (int attr = 0; attr < source_.schema().arity(); ++attr) {
-    int bound = valuation_.Get(attr, r[attr]);
+  for (int k = 0; k < join_count_[row_idx]; ++k) {
+    int bound = valuation_.AtSlot(join[k].slot);
     if (bound < 0) continue;
-    std::size_t size = CountBindable(attr, bound);
+    std::size_t size = CountBindable(join[k].attr, bound);
     if (best_attr < 0 || size < best_size) {
-      best_attr = attr;
+      best_attr = join[k].attr;
       best_value = bound;
       best_size = size;
     }
   }
-  if (best_attr >= 0) {
-    // Zero-copy index spans. Runs are ascending with base ids < tail ids,
-    // so a delta cutoff is one binary search per run.
-    const CandidateList list = target_.TuplesWith(best_attr, best_value);
-    runs[0] = min_id > 0 ? list.base().SuffixFrom(min_id) : list.base();
-    runs[1] = min_id > 0 ? list.tail().SuffixFrom(min_id) : list.tail();
-    return;
-  }
-  storage->clear();
-  const std::size_t scan_end = std::min<std::size_t>(
-      target_.NumTuples(), static_cast<std::size_t>(max_id));
-  if (scan_end > static_cast<std::size_t>(min_id)) {
-    storage->reserve(scan_end - static_cast<std::size_t>(min_id));
-    for (std::size_t i = static_cast<std::size_t>(min_id); i < scan_end; ++i) {
-      storage->push_back(static_cast<int>(i));
-    }
-  }
-  runs[0] = IdSpan(storage->data(), storage->size());
+  if (best_attr < 0) return false;
+  // Zero-copy index spans. Runs are ascending with base ids < tail ids, so
+  // a delta cutoff is one binary search per run.
+  const CandidateList list = target_.TuplesWith(best_attr, best_value);
+  runs[0] = min_id > 0 ? list.base().SuffixFrom(min_id) : list.base();
+  runs[1] = min_id > 0 ? list.tail().SuffixFrom(min_id) : list.tail();
+  return true;
 }
 
 bool HomomorphismSearch::TryBindRow(int row_idx, TupleRef tuple,
-                                    std::vector<std::pair<int, int>>* undo) {
-  const Row& r = source_.row(row_idx);
-  for (int attr = 0; attr < source_.schema().arity(); ++attr) {
-    int var = r[attr];
-    int bound = valuation_.Get(attr, var);
-    if (bound >= 0) {
-      if (bound != tuple[attr]) {
-        UndoBindings(*undo);
-        undo->clear();
-        return false;
-      }
-    } else {
-      valuation_.Set(attr, var, tuple[attr]);
-      undo->emplace_back(attr, var);
+                                    std::size_t mark) {
+  const Position* join = RowPositions(row_idx);
+  for (int k = 0; k < join_count_[row_idx]; ++k) {
+    const int slot = join[k].slot;
+    const int bound = valuation_.AtSlot(slot);
+    const int value = tuple[join[k].attr];
+    if (bound < 0) {
+      valuation_.SetSlot(slot, value);
+      undo_.push_back(slot);
+    } else if (bound != value) {
+      UndoTo(mark);
+      return false;
     }
   }
   return true;
 }
 
-void HomomorphismSearch::UndoBindings(
-    const std::vector<std::pair<int, int>>& undo) {
-  for (auto [attr, var] : undo) valuation_.Set(attr, var, -1);
+void HomomorphismSearch::UndoTo(std::size_t mark) {
+  while (undo_.size() > mark) {
+    valuation_.SetSlot(undo_.back(), -1);
+    undo_.pop_back();
+  }
 }
 
 bool HomomorphismSearch::Backtrack(
@@ -218,9 +260,20 @@ bool HomomorphismSearch::Backtrack(
   }
   ++stats_.nodes;
   if (depth == source_.num_rows()) {
-    // All rows matched. Complete the valuation on variables that appear in
-    // no row (possible when the variable space is wider than the rows): they
-    // are unconstrained, so leave them unbound; visitors treat -1 as "any".
+    // All rows matched: bind the private positions from the rows' tuples.
+    // Between visits their slots keep the last match's values, which
+    // nothing reads: the search reads join positions only, and the next
+    // visit rewrites every private slot. Variables that appear in no row
+    // (possible when the variable space is wider than the rows) are
+    // unconstrained, so they stay as the initial valuation left them;
+    // visitors treat -1 as "any".
+    for (int r = 0; r < source_.num_rows(); ++r) {
+      const TupleRef tuple = target_.tuple(row_tuples_[r]);
+      const Position* row = RowPositions(r);
+      for (int k = join_count_[r]; k < arity_; ++k) {
+        valuation_.SetSlot(row[k].slot, tuple[row[k].attr]);
+      }
+    }
     if (!visit(valuation_)) {
       *stopped = true;
       return false;
@@ -239,38 +292,43 @@ bool HomomorphismSearch::Backtrack(
     // on the last undone row can complete a delta-touching match.
     min_id = std::max(min_id, options_.delta_begin);
   }
-  std::vector<int>& storage = candidate_storage_[depth];
-  IdSpan runs[2];
-  RowCandidates(row_idx, min_id, max_id, &storage, runs);
   row_done_[row_idx] = true;
-  std::vector<std::pair<int, int>>& undo = undo_storage_[depth];
-  undo.clear();
-  bool window_closed = false;
-  for (int run = 0; run < 2 && !window_closed; ++run) {
-    for (int tuple_id : runs[run]) {
-      // Runs are ascending and run 0's ids all precede run 1's, so the first
-      // id past the window ends the whole iteration.
-      if (tuple_id >= max_id) {
-        window_closed = true;
-        break;
+  const std::size_t mark = undo_.size();
+  // Binds the row to one candidate and searches below it; false when the
+  // search unwinds (a visitor stop or a budget trip).
+  auto descend = [&](int tuple_id) {
+    ++stats_.candidates;
+    if (!TryBindRow(row_idx, target_.tuple(tuple_id), mark)) return true;
+    row_tuples_[row_idx] = tuple_id;
+    const bool in_delta = any_row_mode && tuple_id >= options_.delta_begin;
+    delta_rows_bound_ += in_delta ? 1 : 0;
+    const bool keep_going = Backtrack(depth + 1, visit, stopped);
+    delta_rows_bound_ -= in_delta ? 1 : 0;
+    UndoTo(mark);
+    return keep_going;
+  };
+  bool keep_going = true;
+  IdSpan runs[2];
+  if (RowCandidates(row_idx, min_id, runs)) {
+    // Runs are ascending and run 0's ids all precede run 1's, so the first
+    // id past the window ends the whole iteration.
+    bool window_closed = false;
+    for (int run = 0; run < 2 && keep_going && !window_closed; ++run) {
+      for (int tuple_id : runs[run]) {
+        window_closed = tuple_id >= max_id;
+        if (window_closed || !(keep_going = descend(tuple_id))) break;
       }
-      ++stats_.candidates;
-      undo.clear();
-      if (!TryBindRow(row_idx, target_.tuple(tuple_id), &undo)) continue;
-      row_tuples_[row_idx] = tuple_id;
-      bool in_delta = any_row_mode && tuple_id >= options_.delta_begin;
-      delta_rows_bound_ += in_delta ? 1 : 0;
-      bool keep_going = Backtrack(depth + 1, visit, stopped);
-      delta_rows_bound_ -= in_delta ? 1 : 0;
-      UndoBindings(undo);
-      if (!keep_going && (*stopped || stats_.budget_hit)) {
-        row_done_[row_idx] = false;
-        return false;
-      }
+    }
+  } else {
+    const int scan_end = static_cast<int>(std::min<std::size_t>(
+        target_.NumTuples(), static_cast<std::size_t>(max_id)));
+    for (int tuple_id = min_id; tuple_id < scan_end && keep_going;
+         ++tuple_id) {
+      keep_going = descend(tuple_id);
     }
   }
   row_done_[row_idx] = false;
-  return true;
+  return keep_going;
 }
 
 HomSearchStatus ExistsHomomorphism(const Tableau& source,

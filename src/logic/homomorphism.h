@@ -15,6 +15,24 @@
 // other bound position. A row with no bound position scans the whole id
 // range.
 //
+// Join and private positions: a row's position is a *join* position when
+// its variable occurs in another row or is pinned by the initial valuation,
+// and *private* otherwise. A private variable is bound by its own row only,
+// so while that row is undone it is never bound: it can neither score a
+// row, nor pick a posting list, nor reject a candidate. The search
+// therefore scores, picks and binds join positions only (about 2-2.5 of a
+// row's 6-22 attributes in the reduction), and writes the private ones from
+// the bound tuples once per complete match, just before the visit. The
+// split is made when the search is built and again on SetInitial, into flat
+// per-search arrays; every node, candidate and row order is the one a
+// search over all positions would produce.
+//
+// The Valuation is one flat vector (column offsets, then the slots), so a
+// copy is a single allocation. The search binds and undoes slots on one
+// undo stack reserved at construction and scans a row without a bound
+// position as an id range, so ForEach allocates nothing per node or per
+// match.
+//
 // One-row probe: a template dependency's head is a single row, and within a
 // typed row no variable repeats, so "is this body match witnessed?" is a
 // partial-match lookup on the row's bound positions. ProbeRow answers it
@@ -57,21 +75,56 @@
 
 namespace tdlib {
 
-/// A (partial) assignment of domain values to typed variables:
-/// values[attr][var] is a value id of `attr`, or -1 when unbound.
-struct Valuation {
-  std::vector<std::vector<int>> values;
+/// A (partial) assignment of domain values to typed variables: Get(attr,
+/// var) is a value id of `attr`, or -1 when unbound.
+///
+/// Flat storage: one vector holds the arity + 1 column offsets, then every
+/// attribute's column back to back, so a copy is one allocation whatever the
+/// arity and an assignment between equally shaped valuations none. A *slot*
+/// is the storage index of one (attr, var); the search's hot loops address
+/// variables by slot.
+class Valuation {
+ public:
+  Valuation() = default;
 
   /// Creates an all-unbound valuation shaped like `t`'s variable space.
   static Valuation For(const Tableau& t);
+  /// Makes this valuation For(t), reusing its buffer.
+  void ResetFor(const Tableau& t);
 
   /// Binds every variable (attr, v) of `t`'s variable space to value v:
   /// the match of `t` onto its own Freeze().
   static Valuation Identity(const Tableau& t);
 
-  int Get(int attr, int var) const { return values[attr][var]; }
-  void Set(int attr, int var, int value) { values[attr][var] = value; }
-  bool Bound(int attr, int var) const { return values[attr][var] >= 0; }
+  /// A valuation whose column `attr` is columns[attr].
+  static Valuation FromColumns(const std::vector<std::vector<int>>& columns);
+
+  /// Number of attributes (0 for a default-constructed valuation).
+  int arity() const { return cells_.empty() ? 0 : cells_[0] - 1; }
+  /// Number of variables of `attr`.
+  int NumVars(int attr) const { return cells_[attr + 1] - cells_[attr]; }
+
+  int Get(int attr, int var) const { return cells_[Slot(attr, var)]; }
+  void Set(int attr, int var, int value) { cells_[Slot(attr, var)] = value; }
+  bool Bound(int attr, int var) const { return Get(attr, var) >= 0; }
+
+  /// The slot of (attr, var), and the value stored there.
+  int Slot(int attr, int var) const { return cells_[attr] + var; }
+  int AtSlot(int slot) const { return cells_[slot]; }
+  void SetSlot(int slot, int value) { cells_[slot] = value; }
+  /// One past the largest slot.
+  int NumSlots() const { return static_cast<int>(cells_.size()); }
+
+  /// Same shape and the same value in every slot.
+  bool operator==(const Valuation& other) const {
+    return cells_ == other.cells_;
+  }
+  bool operator!=(const Valuation& other) const { return !(*this == other); }
+
+ private:
+  // cells_[attr] is the slot of (attr, 0) for attr <= arity, so
+  // cells_[arity] == cells_.size(); the slots follow the offsets.
+  std::vector<int> cells_;
 };
 
 /// Counters one search produced. Search-local by design: every
@@ -183,7 +236,8 @@ class HomomorphismSearch {
 
   /// Pre-binds variables (e.g. the universal variables of a dependency head
   /// when testing whether a body match is already witnessed). The valuation
-  /// must be shaped like `source`'s variable space.
+  /// must be shaped like `source`'s variable space. Replaces the previous
+  /// initial valuation, pins included.
   void SetInitial(const Valuation& initial);
 
   /// Finds one homomorphism extending the initial valuation.
@@ -192,6 +246,8 @@ class HomomorphismSearch {
   /// Enumerates homomorphisms; `visit` returns false to stop early. Every
   /// total extension of the initial valuation that maps all rows into the
   /// target (and touches the delta, if one is set) is visited exactly once.
+  /// The visited valuation binds every variable of every row; a variable
+  /// no row holds keeps its initial value (-1 unless pinned).
   HomSearchStatus ForEach(const std::function<bool(const Valuation&)>& visit);
 
   /// Counters for the last call (reset by every FindAny/ForEach).
@@ -210,6 +266,18 @@ class HomomorphismSearch {
   bool deadline_hit() const { return stats_.deadline_hit; }
 
  private:
+  /// One (row, attribute) position: its attribute and its variable's slot.
+  struct Position {
+    int attr;
+    int slot;
+  };
+
+  const Position* RowPositions(int row) const {
+    return &positions_[row * arity_];
+  }
+  /// Re-splits every row's positions into join and private ones against
+  /// the current valuation's pins (no allocation).
+  void SplitPositions();
   bool Backtrack(int depth, const std::function<bool(const Valuation&)>& visit,
                  bool* stopped);
   int PickNextRow() const;
@@ -221,29 +289,36 @@ class HomomorphismSearch {
   /// partition (and seed slices) and the id cap; {0, INT_MAX} when
   /// unrestricted.
   std::pair<int, int> RowIdBounds(int row_idx) const;
-  /// Candidate ids from min_id on for `row_idx`, as two ascending runs
-  /// (every id in runs[0] precedes every id in runs[1]): the borrowed base
-  /// and tail of the shortest bound posting list, or a full scan of
-  /// [min_id, max_id) materialized into `storage` as runs[0]. Borrowed runs
-  /// may reach past max_id — the caller's iteration stops there.
-  void RowCandidates(int row_idx, int min_id, int max_id,
-                     std::vector<int>* storage, IdSpan runs[2]) const;
-  bool TryBindRow(int row_idx, TupleRef tuple,
-                  std::vector<std::pair<int, int>>* undo);
-  void UndoBindings(const std::vector<std::pair<int, int>>& undo);
+  /// Candidate ids from min_id on for `row_idx`: the borrowed base and tail
+  /// of the shortest bound join posting list, as two ascending runs (every
+  /// id in runs[0] precedes every id in runs[1]; they may reach past the
+  /// row's window — the caller's iteration stops there). Returns false when
+  /// no join position of the row is bound: the caller scans the window.
+  bool RowCandidates(int row_idx, int min_id, IdSpan runs[2]) const;
+  /// Binds the row's unbound join positions to `tuple`, pushing their slots
+  /// on undo_, or undoes back to `mark` and returns false on a mismatch.
+  bool TryBindRow(int row_idx, TupleRef tuple, std::size_t mark);
+  void UndoTo(std::size_t mark);
 
   const Tableau& source_;
   const Instance& target_;
   HomSearchOptions options_;
+  const int arity_;
   Valuation valuation_;
+  /// Rows holding each slot's variable (indexed by slot).
+  std::vector<int> occurrences_;
+  /// Row r's positions are positions_[r * arity_, (r + 1) * arity_): its
+  /// join positions first, join_count_[r] of them, then its private ones,
+  /// each group in attribute order.
+  std::vector<Position> positions_;
+  std::vector<int> join_count_;
+  /// Slots the search has bound, innermost last; a depth undoes to the size
+  /// it found. Reserved for every position, so it never reallocates.
+  std::vector<int> undo_;
   std::vector<bool> row_done_;
   std::vector<int> row_tuples_;
   int delta_rows_bound_ = 0;  ///< "any row" mode: rows on delta tuples now
   bool cap_hides_tuples_ = false;  ///< the target holds ids >= id_cap
-  // Per-depth scratch, reused across the whole search so the hot loop does
-  // not allocate per node (capacity sticks after the first few nodes).
-  std::vector<std::vector<int>> candidate_storage_;
-  std::vector<std::vector<std::pair<int, int>>> undo_storage_;
   HomSearchStats stats_;
 };
 

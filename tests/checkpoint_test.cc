@@ -126,7 +126,7 @@ bool SameTrace(const std::vector<ChaseStep>& a,
   if (a.size() != b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].dependency_index != b[i].dependency_index ||
-        a[i].body_match.values != b[i].body_match.values ||
+        a[i].body_match != b[i].body_match ||
         a[i].new_tuples != b[i].new_tuples) {
       return false;
     }
@@ -429,6 +429,55 @@ TEST(ChaseCheckpoint, SerializeRoundTripsTheInvalidCheckpoint) {
   Result<ChaseCheckpoint> bad_result = ChaseCheckpoint::Deserialize(bad);
   EXPECT_FALSE(bad_result.ok());
   EXPECT_EQ(bad_result.code(), ErrorCode::kCorrupt);
+}
+
+// The checkpoint text is a stored format: how a Valuation is laid out in
+// memory must not change a byte of it, or tdckpt5 files written before
+// would stop resuming. These hashes were recorded when a Valuation was one
+// vector per attribute.
+std::string TextHash(const ChaseCheckpoint& checkpoint) {
+  std::ostringstream out;
+  checkpoint.Serialize(out);
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : out.str()) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  std::ostringstream hex;
+  hex << out.str().size() << ':' << std::hex << h;
+  return hex.str();
+}
+
+TEST(ChaseCheckpoint, SerializedBytesMatchTheRecordedFormat) {
+  // gap/pad3 stopped inside a wave of its last pass: a pending tail and a
+  // 1600-step trace, whose matches leave head-only variables at -1.
+  WorkloadOptions options;
+  options.size = 12;
+  const Job gap = ReductionSweepWorkload(options)[11];
+  ASSERT_EQ(gap.name, "gap/pad3");
+  ChaseConfig config;
+  config.record_trace = true;
+  config.max_steps = 1600;
+  Instance instance = gap.goal.body().Freeze();
+  ChaseCheckpoint checkpoint;
+  RunChase(&instance, gap.dependencies, config,
+           ConclusionGoal(gap.goal, config.HomOptions()), &checkpoint);
+  ASSERT_TRUE(checkpoint.valid);
+  EXPECT_FALSE(checkpoint.pending.empty());
+  EXPECT_EQ(TextHash(checkpoint), "1733933:d8de3a85d8fc842");
+
+  // The pumping reduction under a burst cap: carried steps.
+  Pumping pumping = MakePumping();
+  ChaseConfig capped;
+  capped.record_trace = true;
+  capped.max_fires_per_pass = 4;
+  capped.max_steps = 23;
+  Instance pumped = pumping.goal.body().Freeze();
+  ChaseCheckpoint carried;
+  RunChase(&pumped, pumping.deps, capped, {}, &carried);
+  ASSERT_TRUE(carried.valid);
+  EXPECT_FALSE(carried.carried.empty());
+  EXPECT_EQ(TextHash(carried), "8726:a29d5b0ef0300592");
 }
 
 // ---- ChaseSession through the implication / dual-solver layers -------------

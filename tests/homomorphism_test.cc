@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -224,6 +226,181 @@ TEST(HomSearchNodes, NodesAreCounted) {
   HomomorphismSearch search(t, inst);
   search.FindAny(nullptr);
   EXPECT_GT(search.nodes_explored(), 0u);
+}
+
+// ---- Join and private positions, the flat valuation -------------------------
+
+// A 3-attribute instance of 40 random tuples over 4 values per attribute.
+Instance RandomAbc(const SchemaPtr& schema, std::uint64_t seed) {
+  Instance inst(schema);
+  for (int attr = 0; attr < 3; ++attr) {
+    for (int v = 0; v < 4; ++v) inst.AddValue(attr);
+  }
+  Rng rng(seed);
+  for (int i = 0; i < 40; ++i) {
+    inst.AddTuple({static_cast<int>(rng.Below(4)),
+                   static_cast<int>(rng.Below(4)),
+                   static_cast<int>(rng.Below(4))});
+  }
+  return inst;
+}
+
+// Everything one ForEach reports: each visited valuation with its body
+// image, in visit order, and the counters.
+struct Enumeration {
+  std::vector<std::pair<Valuation, std::vector<int>>> matches;
+  HomSearchStats stats;
+};
+
+Enumeration Enumerate(HomomorphismSearch* search) {
+  Enumeration out;
+  search->ForEach([&](const Valuation& v) {
+    out.matches.emplace_back(v, search->row_tuples());
+    return true;
+  });
+  out.stats = search->stats();
+  return out;
+}
+
+void ExpectSame(const Enumeration& got, const Enumeration& want,
+                const std::string& label) {
+  ASSERT_EQ(got.matches.size(), want.matches.size()) << label;
+  for (std::size_t i = 0; i < want.matches.size(); ++i) {
+    EXPECT_TRUE(got.matches[i].first == want.matches[i].first)
+        << label << " match " << i;
+    EXPECT_EQ(got.matches[i].second, want.matches[i].second)
+        << label << " match " << i;
+  }
+  EXPECT_EQ(got.stats.nodes, want.stats.nodes) << label;
+  EXPECT_EQ(got.stats.candidates, want.stats.candidates) << label;
+}
+
+TEST(HomJoinPositions, ReusedSearchMatchesFreshSearches) {
+  // R(a, b, c) & R(a, b2, c2) & R(a2, b2, c3): a and b2 join, the rest are
+  // private until a pin makes them join positions. One search object runs
+  // under several pin sets in turn — including a pin on a variable the
+  // previous search wrote privately at every visit, and back to no pin —
+  // and must report exactly what a fresh object reports for each.
+  SchemaPtr schema = MakeSchema({"A", "B", "C"});
+  Tableau t(schema);
+  const int a = t.NewVariable(0), a2 = t.NewVariable(0);
+  const int b = t.NewVariable(1), b2 = t.NewVariable(1);
+  const int c = t.NewVariable(2), c2 = t.NewVariable(2),
+            c3 = t.NewVariable(2);
+  t.AddRow({a, b, c});
+  t.AddRow({a, b2, c2});
+  t.AddRow({a2, b2, c3});
+  const Instance inst = RandomAbc(schema, 5);
+
+  std::vector<Valuation> pins;
+  pins.push_back(Valuation::For(t));
+  Valuation pin_c = Valuation::For(t);
+  pin_c.Set(2, c, 1);
+  pins.push_back(pin_c);
+  Valuation pin_b_c3 = Valuation::For(t);
+  pin_b_c3.Set(1, b, 2);
+  pin_b_c3.Set(2, c3, 0);
+  pins.push_back(pin_b_c3);
+  pins.push_back(Valuation::For(t));
+
+  HomomorphismSearch reused(t, inst);
+  for (std::size_t i = 0; i < pins.size(); ++i) {
+    HomomorphismSearch fresh(t, inst);
+    fresh.SetInitial(pins[i]);
+    const Enumeration want = Enumerate(&fresh);
+    EXPECT_FALSE(want.matches.empty()) << i;
+    reused.SetInitial(pins[i]);
+    ExpectSame(Enumerate(&reused), want, "pins " + std::to_string(i));
+    // A second ForEach without SetInitial starts from the same pins.
+    ExpectSame(Enumerate(&reused), want, "again " + std::to_string(i));
+    for (const auto& [v, image] : want.matches) {
+      if (pins[i].Bound(2, c)) {
+        EXPECT_EQ(v.Get(2, c), 1);
+      }
+      if (pins[i].Bound(2, c3)) {
+        EXPECT_EQ(v.Get(2, c3), 0);
+      }
+    }
+  }
+}
+
+TEST(HomJoinPositions, VisitBindsEveryRowVariable) {
+  // Private positions are written only for the visit; the visited
+  // valuation must still bind every variable of every row to the bound
+  // tuple's value, and leave a variable no row holds at -1.
+  SchemaPtr schema = MakeSchema({"A", "B", "C"});
+  Tableau t(schema);
+  const int a = t.NewVariable(0);
+  const int rowless = t.NewVariable(0);
+  const int b = t.NewVariable(1), b2 = t.NewVariable(1);
+  const int c = t.NewVariable(2), c2 = t.NewVariable(2);
+  t.AddRow({a, b, c});
+  t.AddRow({a, b2, c2});
+  const Instance inst = RandomAbc(schema, 9);
+  HomomorphismSearch search(t, inst);
+  int visits = 0;
+  search.ForEach([&](const Valuation& v) {
+    ++visits;
+    EXPECT_EQ(v.Get(0, rowless), -1);
+    for (int r = 0; r < t.num_rows(); ++r) {
+      const TupleRef tuple = inst.tuple(search.row_tuples()[r]);
+      for (int attr = 0; attr < 3; ++attr) {
+        EXPECT_EQ(v.Get(attr, t.row(r)[attr]), tuple[attr])
+            << "row " << r << " attr " << attr;
+      }
+    }
+    return true;
+  });
+  EXPECT_GT(visits, 40);
+  // FindAny hands out the same complete valuation.
+  Valuation found;
+  ASSERT_EQ(search.FindAny(&found), HomSearchStatus::kFound);
+  EXPECT_TRUE(found.Bound(1, b2));
+  EXPECT_TRUE(found.Bound(2, c2));
+  EXPECT_FALSE(found.Bound(0, rowless));
+}
+
+TEST(ValuationShape, ForAndIdentityOnAMixedArityTableau) {
+  // Three, one and two variables for A, B and C: the flat layout must keep
+  // every column its own length.
+  SchemaPtr schema = MakeSchema({"A", "B", "C"});
+  Tableau t(schema);
+  t.EnsureVariables(0, 3);
+  t.EnsureVariables(1, 1);
+  t.EnsureVariables(2, 2);
+  t.AddRow({2, 0, 1});
+  const int num_vars[] = {3, 1, 2};
+
+  const Valuation unbound = Valuation::For(t);
+  const Valuation identity = Valuation::Identity(t);
+  for (const Valuation* v : {&unbound, &identity}) {
+    ASSERT_EQ(v->arity(), 3);
+    for (int attr = 0; attr < 3; ++attr) {
+      ASSERT_EQ(v->NumVars(attr), num_vars[attr]) << attr;
+    }
+  }
+  for (int attr = 0; attr < 3; ++attr) {
+    for (int var = 0; var < num_vars[attr]; ++var) {
+      EXPECT_FALSE(unbound.Bound(attr, var));
+      EXPECT_EQ(identity.Get(attr, var), var);
+    }
+  }
+  EXPECT_TRUE(identity ==
+              Valuation::FromColumns({{0, 1, 2}, {0}, {0, 1}}));
+  EXPECT_TRUE(unbound != identity);
+  EXPECT_EQ(Valuation().arity(), 0);
+
+  // Setting one variable touches its slot only.
+  Valuation v = Valuation::For(t);
+  v.Set(2, 1, 7);
+  EXPECT_EQ(v.Get(2, 1), 7);
+  EXPECT_EQ(v.AtSlot(v.Slot(2, 1)), 7);
+  EXPECT_EQ(v.Get(2, 0), -1);
+  EXPECT_EQ(v.Get(1, 0), -1);
+  // ResetFor reshapes any valuation into For(t).
+  Valuation other = Valuation::FromColumns({{4}, {5, 6, 7, 8}});
+  other.ResetFor(t);
+  EXPECT_TRUE(other == unbound);
 }
 
 }  // namespace

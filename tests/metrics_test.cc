@@ -332,8 +332,8 @@ void ExpectIdenticalRuns(const ChaseRun& off, const ChaseRun& on,
     EXPECT_EQ(off.result.trace[i].dependency_index,
               on.result.trace[i].dependency_index)
         << label << " step " << i;
-    EXPECT_EQ(off.result.trace[i].body_match.values,
-              on.result.trace[i].body_match.values)
+    EXPECT_TRUE(off.result.trace[i].body_match ==
+                on.result.trace[i].body_match)
         << label << " step " << i;
     EXPECT_EQ(off.result.trace[i].new_tuples, on.result.trace[i].new_tuples)
         << label << " step " << i;

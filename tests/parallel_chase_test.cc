@@ -34,8 +34,7 @@ void ExpectSameTrace(const ChaseResult& serial, const ChaseResult& pooled,
         << label << " step " << i;
     EXPECT_EQ(serial.trace[i].new_tuples, pooled.trace[i].new_tuples)
         << label << " step " << i;
-    EXPECT_EQ(serial.trace[i].body_match.values,
-              pooled.trace[i].body_match.values)
+    EXPECT_TRUE(serial.trace[i].body_match == pooled.trace[i].body_match)
         << label << " step " << i;
   }
 }

@@ -253,8 +253,8 @@ TEST(HeadChecker, EmptyInstance) {
   Dependency d = Parse(schema, "R(a,b,c) & R(a,b2,c2) => R(a9,b,c2)");
   Instance empty = Grid(schema, 2);
   Valuation h = Valuation::Identity(d.body());
-  for (std::vector<int>& column : h.values) {
-    for (int& value : column) value = 1;
+  for (int attr = 0; attr < h.arity(); ++attr) {
+    for (int var = 0; var < h.NumVars(attr); ++var) h.Set(attr, var, 1);
   }
   for (std::uint64_t max_nodes : {0, 1}) {
     HomSearchOptions options;
@@ -304,8 +304,7 @@ TEST(HeadChecker, NodeBudgetOfOneStopsAtTheMatch) {
   HomSearchOptions options;
   options.max_nodes = 1;
   // A match exists, but the backtracker's second node is over budget.
-  Valuation h = Valuation::Identity(d.body());
-  h.values = {{1}, {1}, {1}};
+  Valuation h = Valuation::FromColumns({{1}, {1}, {1}});
   const HeadCheck got = Checked(d, db, h, options);
   EXPECT_FALSE(got.witnessed);
   EXPECT_TRUE(got.stats.budget_hit);
@@ -313,7 +312,7 @@ TEST(HeadChecker, NodeBudgetOfOneStopsAtTheMatch) {
   EXPECT_EQ(got.stats.candidates, 1u);
   ExpectAgree(d, db, h, options);
   // No match: the scan completes inside the budget.
-  h.values = {{0}, {1}, {0}};
+  h = Valuation::FromColumns({{0}, {1}, {0}});
   EXPECT_FALSE(Checked(d, db, h, options).stats.budget_hit);
   ExpectAgree(d, db, h, options);
 }
@@ -327,8 +326,7 @@ TEST(HeadChecker, EqualPostingListsTieToTheLowestAttribute) {
   db.AddTuple({0, 0, 0});  // id 2: A=0, B=0 — the witness
   db.AddTuple({1, 0, 0});  // id 3: B=0
   ASSERT_EQ(db.CountWith(0, 0), db.CountWith(1, 0));
-  Valuation h = Valuation::Identity(d.body());
-  h.values = {{0}, {0}, {1}};
+  const Valuation h = Valuation::FromColumns({{0}, {0}, {1}});
   // A's list {0, 2} finds the witness second; B's list {2, 3} would find
   // it first.
   const HeadCheck got = Checked(d, db, h, HomSearchOptions{});
@@ -360,8 +358,7 @@ TEST(HeadChecker, WitnessOnlyInTheIndexTail) {
   }
   EXPECT_GT(witnessed, 0);
   // (b, c2) = (0, 2) is witnessed only by the tail tuple id 4.
-  Valuation h = Valuation::Identity(d.body());
-  h.values = {{0}, {0, 1}, {0, 2}};
+  const Valuation h = Valuation::FromColumns({{0}, {0, 1}, {0, 2}});
   EXPECT_TRUE(ExpectAgree(d, db, h, HomSearchOptions{}));
   HomSearchStats stats;
   EXPECT_EQ(ProbeRow(db, {{1, 0}, {2, 2}}, 0, &stats), 4);

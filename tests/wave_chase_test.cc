@@ -50,8 +50,11 @@ std::string TraceText(const std::vector<ChaseStep>& trace) {
   std::ostringstream os;
   for (const ChaseStep& step : trace) {
     os << step.dependency_index << ':';
-    for (const std::vector<int>& column : step.body_match.values) {
-      for (int v : column) os << v << ',';
+    const Valuation& match = step.body_match;
+    for (int attr = 0; attr < match.arity(); ++attr) {
+      for (int var = 0; var < match.NumVars(attr); ++var) {
+        os << match.Get(attr, var) << ',';
+      }
       os << ';';
     }
     os << '>';
@@ -92,7 +95,7 @@ bool IsPrefix(const std::vector<ChaseStep>& a,
   if (a.size() > b.size()) return false;
   for (std::size_t i = 0; i < a.size(); ++i) {
     if (a[i].dependency_index != b[i].dependency_index ||
-        a[i].body_match.values != b[i].body_match.values ||
+        a[i].body_match != b[i].body_match ||
         a[i].new_tuples != b[i].new_tuples) {
       return false;
     }
