@@ -99,7 +99,8 @@ void BM_CacheWarmSweep(benchmark::State& state) {
   }
 
   // Fingerprint cost of the whole sweep, measured once: the per-submission
-  // canonical walk and word hash a consumer pays whether it hits or misses.
+  // hash of the dependencies' digests and the config that a consumer pays
+  // whether it hits or misses (each dependency's walk was paid at Build).
   Timer fp_timer;
   for (const Job& job : jobs) {
     benchmark::DoNotOptimize(

@@ -2,8 +2,8 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
+#include "core/canonical_walk.h"
 #include "util/hash.h"
 
 namespace tdlib {
@@ -11,74 +11,19 @@ namespace {
 
 // Bump if the token stream ever changes shape, so fingerprints from
 // different library versions can never alias. Both renderings carry it.
-constexpr char kVersionTag[] = "tdlib-canonical 3";
-constexpr std::uint64_t kVersionWord = 3;
+// Version 4: dependencies enter the fingerprint as their digests.
+constexpr char kVersionTag[] = "tdlib-canonical 4";
+constexpr std::uint64_t kVersionWord = 4;
 
-// The canonical form is one token stream; the text rendering and the
-// fingerprint are two sinks over the same walk, so they cannot drift. A
-// sink takes the scalar tokens below one at a time and each relabeled row
-// whole (its `arity` labels), since rows are where the volume is.
+// The problem-level scalar tokens; each dependency's own run is the
+// core/canonical_walk.h walk.
 enum class Tok : std::uint8_t {
   kCount,   // dependency count of D
-  kDep,     // arity of the next dependency
-  kBody,    // body row count
-  kHead,    // head row count
   kGoal,    // D0 follows
   kConfig,  // one of kConfigFields solver budgets / knobs
 };
 
 constexpr int kConfigFields = 13;
-
-// Dense relabeling scratch for one dependency at a time: label[base[attr] +
-// var] is the canonical index of variable id `var` of `attr` (-1 = not seen
-// yet; ids are dense below Tableau::NumVars), next[attr] the next index to
-// hand out, row the current relabeled row. One instance per thread is
-// reused across dependencies and calls, so a warm walk allocates nothing.
-struct Relabel {
-  std::vector<int> label;
-  std::vector<int> base;
-  std::vector<int> next;
-  std::vector<std::uint32_t> row;
-};
-
-// Relabels one dependency's variables per attribute by first occurrence
-// (body rows first, then head rows, each row left to right) and emits the
-// relabeled rows. The labels are shared between body and head, so a
-// universal head variable resolves to the index its body occurrence
-// introduced — exactly the equality pattern, with names and allocation
-// order erased.
-template <typename Sink>
-void WalkDependency(const Dependency& dep, Relabel* scratch, Sink& sink) {
-  const int arity = dep.schema().arity();
-  scratch->base.resize(arity);
-  scratch->next.assign(arity, 0);
-  scratch->row.resize(arity);
-  int vars = 0;
-  for (int attr = 0; attr < arity; ++attr) {
-    scratch->base[attr] = vars;
-    vars += dep.body().NumVars(attr);
-  }
-  scratch->label.assign(vars, -1);
-  int* const label = scratch->label.data();
-  const int* const base = scratch->base.data();
-  int* const next = scratch->next.data();
-  std::uint32_t* const out = scratch->row.data();
-  auto walk_tableau = [&](const Tableau& t, Tok tag) {
-    sink(tag, static_cast<std::uint64_t>(t.num_rows()));
-    for (const Row& row : t.rows()) {
-      const int* const ids = row.data();
-      for (int attr = 0; attr < arity; ++attr) {
-        int& l = label[base[attr] + ids[attr]];
-        if (l < 0) l = next[attr]++;
-        out[attr] = static_cast<std::uint32_t>(l);
-      }
-      sink.Row(out, arity);
-    }
-  };
-  sink(Tok::kDep, static_cast<std::uint64_t>(arity));
-  walk_tableau(dep.body(), Tok::kBody);
-  walk_tableau(dep.head(), Tok::kHead);
-}
 
 // The whole problem: D in order, the goal, then every deterministic budget
 // and matching-strategy knob. They all either steer the verdict (rounds,
@@ -88,15 +33,15 @@ void WalkDependency(const Dependency& dep, Relabel* scratch, Sink& sink) {
 // match_tasks). Deadlines are excluded because CacheableConfig already
 // rejects them; pool/cancel are runtime wiring with byte-identical output
 // by the engine's parallelism contract. Signed fields travel as their
-// two's-complement word.
+// two's-complement word. A sink takes the scalar tokens one at a time and
+// each dependency whole, through Dep().
 template <typename Sink>
 void WalkProblem(const DependencySet& d, const Dependency& d0,
                  const DualSolverConfig& config, Sink& sink) {
-  thread_local Relabel scratch;
   sink(Tok::kCount, static_cast<std::uint64_t>(d.items.size()));
-  for (const Dependency& dep : d.items) WalkDependency(dep, &scratch, sink);
+  for (const Dependency& dep : d.items) sink.Dep(dep);
   sink(Tok::kGoal, 0);
-  WalkDependency(d0, &scratch, sink);
+  sink.Dep(d0);
   const ChaseConfig& chase = config.base_chase;
   const CounterexampleConfig& cex = config.base_counterexample;
   const std::uint64_t fields[kConfigFields] = {
@@ -117,17 +62,46 @@ void WalkProblem(const DependencySet& d, const Dependency& d0,
   for (std::uint64_t field : fields) sink(Tok::kConfig, field);
 }
 
-// Renders the token stream as the line-oriented debug text.
+void AppendLine(const char* label, std::uint64_t value, std::string* out) {
+  *out += label;
+  *out += std::to_string(value);
+  *out += '\n';
+}
+
+// Renders one dependency's canonical walk as text lines.
+class DependencyTextSink {
+ public:
+  explicit DependencyTextSink(std::string* out) : out_(out) {}
+
+  void operator()(CanonicalTok tok, std::uint64_t value) {
+    switch (tok) {
+      case CanonicalTok::kDep: AppendLine("dep ", value, out_); break;
+      case CanonicalTok::kBody: AppendLine("b ", value, out_); break;
+      case CanonicalTok::kHead: AppendLine("h ", value, out_); break;
+    }
+  }
+
+  void Row(const std::uint32_t* labels, int arity) {
+    for (int attr = 0; attr < arity; ++attr) {
+      *out_ += std::to_string(labels[attr]);
+      *out_ += ' ';
+    }
+    *out_ += '\n';
+  }
+
+ private:
+  std::string* out_;
+};
+
+// Renders the problem's token stream as the line-oriented debug text, each
+// dependency through the same walk its digest was computed from.
 class TextSink {
  public:
   TextSink() : out_(kVersionTag) { out_ += '\n'; }
 
   void operator()(Tok tok, std::uint64_t value) {
     switch (tok) {
-      case Tok::kCount: Line("", value); break;
-      case Tok::kDep: Line("dep ", value); break;
-      case Tok::kBody: Line("b ", value); break;
-      case Tok::kHead: Line("h ", value); break;
+      case Tok::kCount: AppendLine("", value, &out_); break;
       case Tok::kGoal: out_ += "goal\n"; break;
       case Tok::kConfig:
         out_ += config_seen_ == 0 ? "cfg " : " ";
@@ -137,32 +111,20 @@ class TextSink {
     }
   }
 
-  void Row(const std::uint32_t* labels, int arity) {
-    for (int attr = 0; attr < arity; ++attr) {
-      out_ += std::to_string(labels[attr]);
-      out_ += ' ';
-    }
-    out_ += '\n';
-  }
+  void Dep(const Dependency& dep) { out_ += CanonicalDependencyText(dep); }
 
   std::string Take() { return std::move(out_); }
 
  private:
-  void Line(const char* label, std::uint64_t value) {
-    out_ += label;
-    out_ += std::to_string(value);
-    out_ += '\n';
-  }
-
   std::string out_;
   int config_seen_ = 0;
 };
 
 // Feeds the token stream into the 128-bit word hasher: one word per scalar
-// token, the token kind in the top byte, and a row's labels packed two to a
-// word. The stream parses back unambiguously (every count precedes what it
-// counts and every row holds exactly `arity` labels), so distinct problems
-// give distinct word sequences.
+// token with the token kind in the top byte, and each dependency as the two
+// words of its digest, which Build computed from its walk. The layout is
+// fixed once the count is read, so distinct streams give distinct word
+// sequences. No row is read and nothing is allocated.
 class HashSink {
  public:
   HashSink() { hasher_.Add(kVersionWord); }
@@ -171,13 +133,10 @@ class HashSink {
     hasher_.Add((static_cast<std::uint64_t>(tok) << 56) ^ value);
   }
 
-  void Row(const std::uint32_t* labels, int arity) {
-    int attr = 0;
-    for (; attr + 1 < arity; attr += 2) {
-      hasher_.Add(labels[attr] |
-                  static_cast<std::uint64_t>(labels[attr + 1]) << 32);
-    }
-    if (attr < arity) hasher_.Add(labels[attr]);
+  void Dep(const Dependency& dep) {
+    const Hash128& digest = dep.CanonicalDigest();
+    hasher_.Add(digest.hi);
+    hasher_.Add(digest.lo);
   }
 
   Hash128 Finish() const { return hasher_.Finish(); }
@@ -191,6 +150,13 @@ class HashSink {
 bool CacheableConfig(const DualSolverConfig& config) {
   return config.base_chase.deadline_seconds <= 0 &&
          config.base_counterexample.deadline_seconds <= 0;
+}
+
+std::string CanonicalDependencyText(const Dependency& dep) {
+  std::string out;
+  DependencyTextSink sink(&out);
+  WalkCanonicalDependency(dep.body(), dep.head(), sink);
+  return out;
 }
 
 std::string CanonicalProblemText(const DependencySet& d, const Dependency& d0,

@@ -25,14 +25,19 @@
 // verdicts verbatim. Wall-clock deadlines make runs nondeterministic, so
 // configs carrying one are not cacheable at all (CacheableConfig).
 //
-// The canonical form is a token stream produced by ONE walk over the
-// problem: the dependency count; per dependency its arity, then the body
-// row count and relabeled rows, then the head row count and relabeled
-// rows; the goal marker and D0 the same way; then the 13 config fields.
-// Two sinks consume that walk: FingerprintProblem hashes the tokens as
-// 64-bit words (util/hash.h::Hasher128) without rendering anything, and
-// CanonicalProblemText prints them as text. Sharing the walk is what keeps
-// the two from drifting: equal texts <=> equal fingerprints.
+// The canonical form is a token stream: the dependency count; per
+// dependency its canonical walk (core/canonical_walk.h: its arity, then the
+// body row count and relabeled rows, then the head row count and relabeled
+// rows); the goal marker and D0 the same way; then the 13 config fields.
+// Each dependency is relabeled on its own and is immutable once built, so
+// Dependency::Builder::Build walks it once and keeps a 128-bit digest of its
+// run. FingerprintProblem hashes the scalar tokens as 64-bit words
+// (util/hash.h::Hasher128) and each dependency as its digest: it reads no
+// row and allocates nothing, so fingerprinting a resubmitted problem costs
+// two hashed words per dependency however large its tableaux are.
+// CanonicalProblemText renders the same stream as text, each dependency
+// through the same walk its digest came from. Sharing the walk is what
+// keeps the two from drifting: equal texts <=> equal fingerprints.
 #ifndef TDLIB_CACHE_CANONICAL_H_
 #define TDLIB_CACHE_CANONICAL_H_
 
@@ -51,15 +56,22 @@ namespace tdlib {
 /// (steps, tuples, nodes, candidates, rounds) trips deterministically.
 bool CacheableConfig(const DualSolverConfig& config);
 
+/// Renders one dependency's canonical walk as the text lines it has inside
+/// CanonicalProblemText. Two dependencies have equal texts exactly when
+/// their Dependency::CanonicalDigest values are equal (barring a 128-bit
+/// hash collision).
+std::string CanonicalDependencyText(const Dependency& dep);
+
 /// Renders the canonical token stream described in the file comment as
 /// line-oriented text. Exposed for tests, debugging and size reporting; the
 /// cache itself only ever sees the hash.
 std::string CanonicalProblemText(const DependencySet& d, const Dependency& d0,
                                  const DualSolverConfig& config);
 
-/// Hashes the canonical token stream into a 128-bit content address
-/// (util/hash.h::Hasher128). Returns an INVALID fingerprint when
-/// `config` is not cacheable, so callers can gate on `.valid` alone.
+/// Hashes the canonical token stream, each dependency as its digest, into a
+/// 128-bit content address (util/hash.h::Hasher128). Returns an INVALID
+/// fingerprint when `config` is not cacheable, so callers can gate on
+/// `.valid` alone.
 CacheFingerprint FingerprintProblem(const DependencySet& d,
                                     const Dependency& d0,
                                     const DualSolverConfig& config);

@@ -2,12 +2,12 @@
 // problem.
 //
 // A CacheFingerprint is the 128-bit hash of the canonical token stream of a
-// job's (D, D0, solver budgets), hashed word by word as the canonical walk
-// emits it — see cache/canonical.h. Two jobs that differ only
-// by variable or attribute renaming canonicalize identically and therefore
-// share a fingerprint; the result cache, the in-flight dedup table and
-// (next on the roadmap) the multi-process router's consistent hashing all
-// key on this value. The struct is deliberately dependency-free so the
+// job's (D, D0, solver budgets), each dependency entering as the digest its
+// Build computed from its canonical walk — see cache/canonical.h. Two jobs
+// that differ only by variable or attribute renaming canonicalize
+// identically and therefore share a fingerprint; the result cache, the
+// in-flight dedup table and (next on the roadmap) the multi-process
+// router's consistent hashing all key on this value. The struct is deliberately dependency-free so the
 // engine's job plumbing can carry one without pulling in cache headers.
 #ifndef TDLIB_CACHE_FINGERPRINT_H_
 #define TDLIB_CACHE_FINGERPRINT_H_

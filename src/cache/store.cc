@@ -21,7 +21,9 @@ constexpr char kMagic[] = "tdlib-result-cache";
 // Version 4: the chase keeps one pending step per head key and skips the
 // head checks of repeated keys, so stored hom_nodes (and hom_candidates)
 // moved again; a version-3 file is refused the same way.
-constexpr int kVersion = 4;
+// Version 5: fingerprints hash each dependency's digest instead of its rows
+// (tag "tdlib-canonical 4"), so no version-4 key can be reached any more.
+constexpr int kVersion = 5;
 
 // Upper bound on a plausible entry count: far above any real cache (a
 // 4M-entry cache would model at 1 GiB) and far below anything that could

@@ -13,7 +13,7 @@
 // kCorrupt "unsupported version", since its keys can never match a
 // fingerprint computed now, or its entries would serve stale counters.
 //
-//   tdlib-result-cache 4
+//   tdlib-result-cache 5
 //   <count>
 //   <hi hex> <lo hex> <verdict> <rounds> <steps> <passes> <hom> <match>
 //       <carried> <cands>          (one line per entry, count times)

@@ -1,11 +1,42 @@
 #include "core/dependency.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <sstream>
 
+#include "core/canonical_walk.h"
 #include "core/satisfaction.h"
 
 namespace tdlib {
+namespace {
+
+// Hashes a dependency's canonical walk into 128 bits: one word per scalar
+// token, the token kind in the top byte, and a row's labels packed two to a
+// word. The run parses back unambiguously (every count precedes what it
+// counts and every row holds exactly `arity` labels), so distinct runs give
+// distinct word sequences.
+class DigestSink {
+ public:
+  void operator()(CanonicalTok tok, std::uint64_t value) {
+    hasher_.Add((static_cast<std::uint64_t>(tok) << 56) ^ value);
+  }
+
+  void Row(const std::uint32_t* labels, int arity) {
+    int attr = 0;
+    for (; attr + 1 < arity; attr += 2) {
+      hasher_.Add(labels[attr] |
+                  static_cast<std::uint64_t>(labels[attr + 1]) << 32);
+    }
+    if (attr < arity) hasher_.Add(labels[attr]);
+  }
+
+  Hash128 Finish() const { return hasher_.Finish(); }
+
+ private:
+  Hasher128 hasher_;
+};
+
+}  // namespace
 
 int Dependency::Builder::Var(int attr, std::string name) {
   int id = body_.NewVariable(attr, name);
@@ -48,9 +79,11 @@ Result<Dependency> Dependency::Builder::Build() && {
   head_universals.erase(
       std::unique(head_universals.begin(), head_universals.end()),
       head_universals.end());
+  DigestSink digest;
+  WalkCanonicalDependency(body_, head_, digest);
   return Dependency(std::make_shared<const Rep>(
       Rep{std::move(body_), std::move(head_), std::move(universal),
-          std::move(head_universals)}));
+          std::move(head_universals), digest.Finish()}));
 }
 
 bool Dependency::IsFull() const {

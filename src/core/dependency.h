@@ -21,6 +21,7 @@
 #include <vector>
 
 #include "logic/tableau.h"
+#include "util/hash.h"
 #include "util/status.h"
 
 namespace tdlib {
@@ -33,7 +34,8 @@ namespace tdlib {
 /// variables are existentially quantified in the head.
 ///
 /// A Dependency is immutable after Build(), so its body, head, universality
-/// bitmap and head-row universals live in one shared, const representation:
+/// bitmap, head-row universals and canonical digest live in one shared,
+/// const representation:
 /// copying a Dependency (into a Job, a DependencySet, a wire message, an
 /// in-flight runner) bumps a reference count instead of copying tableaux,
 /// and copies alias the same storage for as long as any of them lives.
@@ -66,6 +68,13 @@ class Dependency {
     return rep_->head_universals;
   }
 
+  /// 128-bit digest of this dependency's canonical walk
+  /// (core/canonical_walk.h): equal exactly when two dependencies are equal
+  /// up to variable and attribute renaming, with row order kept. Computed
+  /// once by Build(); the result cache's fingerprint combines these digests
+  /// instead of re-walking rows (cache/canonical.h).
+  const Hash128& CanonicalDigest() const { return rep_->digest; }
+
   /// A dependency is *full* when every head variable is universal (the
   /// paper: "if a*, b*, ..., c* all appear among the antecedents, then the
   /// dependency is said to be full, otherwise embedded").
@@ -93,6 +102,7 @@ class Dependency {
     Tableau head;
     std::vector<std::vector<bool>> universal;  // [attr][var]
     std::vector<std::pair<int, int>> head_universals;
+    Hash128 digest;
   };
 
   explicit Dependency(std::shared_ptr<const Rep> rep) : rep_(std::move(rep)) {}

@@ -145,12 +145,14 @@ std::size_t HomomorphismSearch::CountBindable(int attr, int value) const {
          list.tail().CountBelow(options_.id_cap);
 }
 
-int HomomorphismSearch::PickNextRow() const {
+HomomorphismSearch::NextRow HomomorphismSearch::PickNextRow() const {
   // Most-constrained-first: prefer the row whose smallest bound-position
   // candidate list is shortest; rows with no bound position score the whole
   // instance size. A delta-restricted id range caps the score too, so the
-  // seed row (candidates = the delta, usually tiny) is matched early.
-  int best = -1;
+  // seed row (candidates = the delta, usually tiny) is matched early. The
+  // chosen row's shortest list is handed over, so RowCandidates does not
+  // count the lists again.
+  NextRow best{-1, -1, -1};
   std::size_t best_score = std::numeric_limits<std::size_t>::max();
   for (int i = 0; i < source_.num_rows(); ++i) {
     if (row_done_[i]) continue;
@@ -160,44 +162,38 @@ int HomomorphismSearch::PickNextRow() const {
         std::min<std::size_t>(target_.NumTuples(),
                               static_cast<std::size_t>(max_id)));
     if (capped > min_id) range = static_cast<std::size_t>(capped - min_id);
-    std::size_t score = range;
+    // The row's shortest bound posting list (ties keep the lowest
+    // attribute); its other bound positions are filtered per candidate by
+    // TryBindRow.
+    NextRow row{i, -1, -1};
+    std::size_t list_size = 0;
     const Position* join = RowPositions(i);
     for (int k = 0; k < join_count_[i]; ++k) {
-      int bound = valuation_.AtSlot(join[k].slot);
-      if (bound >= 0) {
-        score = std::min(score, CountBindable(join[k].attr, bound));
+      const int bound = valuation_.AtSlot(join[k].slot);
+      if (bound < 0) continue;
+      const std::size_t size = CountBindable(join[k].attr, bound);
+      if (row.attr < 0 || size < list_size) {
+        row.attr = join[k].attr;
+        row.value = bound;
+        list_size = size;
       }
     }
+    const std::size_t score =
+        row.attr < 0 ? range : std::min(range, list_size);
     if (score < best_score) {
       best_score = score;
-      best = i;
+      best = row;
     }
   }
   return best;
 }
 
-bool HomomorphismSearch::RowCandidates(int row_idx, int min_id,
+bool HomomorphismSearch::RowCandidates(const NextRow& next, int min_id,
                                        IdSpan runs[2]) const {
-  // Shortest bound posting list (ties keep the lowest attribute); the
-  // other bound positions are filtered per candidate by TryBindRow.
-  const Position* join = RowPositions(row_idx);
-  int best_attr = -1;
-  int best_value = -1;
-  std::size_t best_size = 0;
-  for (int k = 0; k < join_count_[row_idx]; ++k) {
-    int bound = valuation_.AtSlot(join[k].slot);
-    if (bound < 0) continue;
-    std::size_t size = CountBindable(join[k].attr, bound);
-    if (best_attr < 0 || size < best_size) {
-      best_attr = join[k].attr;
-      best_value = bound;
-      best_size = size;
-    }
-  }
-  if (best_attr < 0) return false;
+  if (next.attr < 0) return false;
   // Zero-copy index spans. Runs are ascending with base ids < tail ids, so
   // a delta cutoff is one binary search per run.
-  const CandidateList list = target_.TuplesWith(best_attr, best_value);
+  const CandidateList list = target_.TuplesWith(next.attr, next.value);
   runs[0] = min_id > 0 ? list.base().SuffixFrom(min_id) : list.base();
   runs[1] = min_id > 0 ? list.tail().SuffixFrom(min_id) : list.tail();
   return true;
@@ -280,7 +276,8 @@ bool HomomorphismSearch::Backtrack(
     }
     return true;
   }
-  int row_idx = PickNextRow();
+  const NextRow next = PickNextRow();
+  const int row_idx = next.row;
   // The semi-naive partition as per-row id windows: candidate runs are
   // ascending, so the window is one lower_bound plus an early break.
   auto [min_id, max_id] = RowIdBounds(row_idx);
@@ -309,7 +306,7 @@ bool HomomorphismSearch::Backtrack(
   };
   bool keep_going = true;
   IdSpan runs[2];
-  if (RowCandidates(row_idx, min_id, runs)) {
+  if (RowCandidates(next, min_id, runs)) {
     // Runs are ascending and run 0's ids all precede run 1's, so the first
     // id past the window ends the whole iteration.
     bool window_closed = false;
@@ -342,7 +339,7 @@ int ProbeRow(const Instance& target,
              const std::vector<std::pair<int, int>>& bound,
              std::uint64_t max_nodes, HomSearchStats* stats) {
   // Node 1: the row. Its candidates are the shortest bound posting list
-  // (RowCandidates' choice), or every tuple when nothing is bound.
+  // (PickNextRow's choice), or every tuple when nothing is bound.
   ++stats->nodes;
   const std::pair<int, int>* best = nullptr;
   std::size_t best_size = 0;

@@ -280,7 +280,15 @@ class HomomorphismSearch {
   void SplitPositions();
   bool Backtrack(int depth, const std::function<bool(const Valuation&)>& visit,
                  bool* stopped);
-  int PickNextRow() const;
+  /// The row to match next and the posting list its candidates come from:
+  /// the row's shortest bound join list (ties keep the lowest attribute),
+  /// or attr -1 when no join position of the row is bound.
+  struct NextRow {
+    int row;
+    int attr;
+    int value;
+  };
+  NextRow PickNextRow() const;
   /// Length of the (attr, value) posting list the search can bind: below
   /// the id cap when tuples sit above it, so a capped search scores rows by
   /// what it will scan — exactly as on the capped-size instance.
@@ -289,12 +297,12 @@ class HomomorphismSearch {
   /// partition (and seed slices) and the id cap; {0, INT_MAX} when
   /// unrestricted.
   std::pair<int, int> RowIdBounds(int row_idx) const;
-  /// Candidate ids from min_id on for `row_idx`: the borrowed base and tail
-  /// of the shortest bound join posting list, as two ascending runs (every
-  /// id in runs[0] precedes every id in runs[1]; they may reach past the
-  /// row's window — the caller's iteration stops there). Returns false when
-  /// no join position of the row is bound: the caller scans the window.
-  bool RowCandidates(int row_idx, int min_id, IdSpan runs[2]) const;
+  /// Candidate ids from min_id on for `next.row`: the borrowed base and
+  /// tail of the posting list PickNextRow chose, as two ascending runs
+  /// (every id in runs[0] precedes every id in runs[1]; they may reach past
+  /// the row's window — the caller's iteration stops there). Returns false
+  /// when no join position of the row is bound: the caller scans the window.
+  bool RowCandidates(const NextRow& next, int min_id, IdSpan runs[2]) const;
   /// Binds the row's unbound join positions to `tuple`, pushing their slots
   /// on undo_, or undoes back to `mark` and returns false on a mismatch.
   bool TryBindRow(int row_idx, TupleRef tuple, std::size_t mark);

@@ -3,12 +3,18 @@
 // the persistent store (store.h), and the SolverService integration —
 // byte-identical hits, in-flight dedup, last-waiter cancellation, and the
 // exactly-once outcome accounting of cache-served completions.
+//
+// This binary replaces the global operator new with a counting one, so a
+// test can show that fingerprinting a built job allocates nothing.
 #include "cache/canonical.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
+#include <cstdlib>
 #include <map>
+#include <new>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -31,6 +37,23 @@
 #include "semigroup/presentation.h"
 #include "util/metrics.h"
 #include "util/rng.h"
+
+namespace {
+std::atomic<long> g_allocations{0};
+}  // namespace
+
+// Out of line: inlined into a new-expression or a delete, the malloc() and
+// free() calls draw GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t size) { return ::operator new(size); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace tdlib {
 namespace {
@@ -232,28 +255,34 @@ std::vector<std::vector<int>> IdentityIds(const Dependency& dep) {
   return ids;
 }
 
+// A fresh schema of `arity` attributes named Z0, Z1, ...
+SchemaPtr RenamedSchema(int arity) {
+  std::vector<std::string> attrs;
+  for (int a = 0; a < arity; ++a) attrs.push_back("Z" + std::to_string(a));
+  return MakeSchema(attrs);
+}
+
+// An isomorphic copy of `dep` over `schema`: fresh variable names and the
+// variable ids permuted per attribute.
+Dependency RenamedDependency(const Dependency& dep, const SchemaPtr& schema,
+                             Rng* rng) {
+  std::vector<std::vector<int>> ids = IdentityIds(dep);
+  for (std::vector<int>& perm : ids) {
+    for (std::size_t k = perm.size(); k > 1; --k) {
+      std::swap(perm[k - 1], perm[rng->Below(k)]);
+    }
+  }
+  return Rebuild(dep, schema, ids, dep.body().rows(), dep.head().rows(), "r");
+}
+
 // An isomorphic copy: fresh attribute, variable and dependency names, and
 // each dependency's variable ids permuted per attribute.
 ProblemCase RenamedCopy(const ProblemCase& source, Rng* rng) {
-  std::vector<std::string> attrs;
-  for (int a = 0; a < source.d0.schema().arity(); ++a) {
-    attrs.push_back("Z" + std::to_string(a));
-  }
-  SchemaPtr schema = MakeSchema(attrs);
-  auto rename = [&](const Dependency& dep) {
-    std::vector<std::vector<int>> ids = IdentityIds(dep);
-    for (std::vector<int>& perm : ids) {
-      for (std::size_t k = perm.size(); k > 1; --k) {
-        std::swap(perm[k - 1], perm[rng->Below(k)]);
-      }
-    }
-    return Rebuild(dep, schema, ids, dep.body().rows(), dep.head().rows(),
-                   "r");
-  };
-  ProblemCase copy{source.label + "/renamed", {}, rename(source.d0),
-                   source.config};
+  const SchemaPtr schema = RenamedSchema(source.d0.schema().arity());
+  ProblemCase copy{source.label + "/renamed", {},
+                   RenamedDependency(source.d0, schema, rng), source.config};
   for (const Dependency& dep : source.d.items) {
-    copy.d.Add(rename(dep), "renamed");
+    copy.d.Add(RenamedDependency(dep, schema, rng), "renamed");
   }
   return copy;
 }
@@ -395,6 +424,101 @@ TEST(Canonical, FingerprintEqualityMatchesCanonicalTextEquality) {
   // Every variant but the renamed copies is a problem of its own.
   EXPECT_EQ(fp_of_text.size(), distinct);
   EXPECT_EQ(text_of_fp.size(), distinct);
+}
+
+std::string DigestHex(const Dependency& dep) {
+  CacheFingerprint fp;
+  fp.hi = dep.CanonicalDigest().hi;
+  fp.lo = dep.CanonicalDigest().lo;
+  fp.valid = true;
+  return fp.ToHex();
+}
+
+TEST(Canonical, DigestEqualityMatchesDependencyTextEquality) {
+  // Every dependency of the fuzz generator's cases, each beside a copy with
+  // renamed variables and one with renamed attributes and permuted ids.
+  FuzzOptions options;
+  options.cases_per_round = 6;
+  Rng rng(11);
+  std::vector<Dependency> deps;
+  for (std::uint64_t round = 0; round < 10; ++round) {
+    for (const Job& job : GenerateFuzzCases(options, round)) {
+      std::vector<Dependency> sources = job.dependencies.items;
+      sources.push_back(job.goal);
+      const SchemaPtr schema = RenamedSchema(job.goal.schema().arity());
+      for (const Dependency& dep : sources) {
+        const Dependency renamed = dep.RenameVariables("_v");
+        const Dependency permuted = RenamedDependency(dep, schema, &rng);
+        EXPECT_EQ(DigestHex(renamed), DigestHex(dep)) << dep.ToString();
+        EXPECT_EQ(DigestHex(permuted), DigestHex(dep)) << dep.ToString();
+        deps.push_back(dep);
+        deps.push_back(renamed);
+        deps.push_back(permuted);
+      }
+    }
+  }
+  // Each text maps to one digest and each digest to one text.
+  std::map<std::string, std::string> digest_of_text;
+  std::map<std::string, std::string> text_of_digest;
+  for (const Dependency& dep : deps) {
+    const std::string text = CanonicalDependencyText(dep);
+    const std::string digest = DigestHex(dep);
+    const auto by_text = digest_of_text.emplace(text, digest);
+    EXPECT_EQ(by_text.first->second, digest)
+        << dep.ToString() << ": equal texts, different digests";
+    const auto by_digest = text_of_digest.emplace(digest, text);
+    EXPECT_EQ(by_digest.first->second, text)
+        << dep.ToString() << ": equal digests, different texts";
+  }
+  EXPECT_GE(digest_of_text.size(), 100u);
+  EXPECT_EQ(digest_of_text.size(), text_of_digest.size());
+}
+
+TEST(Canonical, FingerprintSeesPremiseOrderButNotRenamedMembers) {
+  WorkloadOptions sweep;
+  sweep.size = 6;
+  const Job job = ReductionSweepWorkload(sweep)[0];
+  const CacheFingerprint fp =
+      FingerprintProblem(job.dependencies, job.goal, job.config);
+  const std::vector<Dependency>& items = job.dependencies.items;
+
+  // Swapping D's first member with one that is not a renaming of it.
+  std::size_t other = 1;
+  while (other < items.size() &&
+         DigestHex(items[other]) == DigestHex(items[0])) {
+    ++other;
+  }
+  ASSERT_LT(other, items.size());
+  DependencySet swapped = job.dependencies;
+  std::swap(swapped.items[0], swapped.items[other]);
+  EXPECT_NE(FingerprintProblem(swapped, job.goal, job.config), fp);
+
+  // Replacing every member (and the goal) with a renamed copy.
+  Rng rng(5);
+  const SchemaPtr schema = RenamedSchema(job.goal.schema().arity());
+  DependencySet renamed = job.dependencies;
+  for (std::size_t i = 0; i < renamed.items.size(); ++i) {
+    renamed.items[i] = i % 2 == 0
+                           ? renamed.items[i].RenameVariables("_copy")
+                           : RenamedDependency(renamed.items[i], schema, &rng);
+  }
+  EXPECT_EQ(FingerprintProblem(renamed, job.goal.RenameVariables("_copy"),
+                               job.config),
+            fp);
+}
+
+TEST(Canonical, FingerprintOfABuiltJobAllocatesNothing) {
+  // The rows were walked once, at Build: fingerprinting reads digests only,
+  // so not even the first call on a thread touches the allocator.
+  WorkloadOptions sweep;
+  sweep.size = 6;
+  for (const Job& job : ReductionSweepWorkload(sweep)) {
+    const long before = g_allocations.load();
+    const CacheFingerprint fp =
+        FingerprintProblem(job.dependencies, job.goal, job.config);
+    EXPECT_EQ(g_allocations.load() - before, 0) << job.name;
+    EXPECT_TRUE(fp.valid);
+  }
 }
 
 TEST(Canonical, FingerprintLowBitsSpreadOverFuzzCases) {
@@ -539,22 +663,22 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
   ASSERT_FALSE(bad_version.ok());
   EXPECT_EQ(bad_version.code(), ErrorCode::kCorrupt);
 
-  Result<int> absurd_count = load("tdlib-result-cache 4\n99999999999\nend\n");
+  Result<int> absurd_count = load("tdlib-result-cache 5\n99999999999\nend\n");
   ASSERT_FALSE(absurd_count.ok());
   EXPECT_EQ(absurd_count.code(), ErrorCode::kCorrupt);
 
   Result<int> bad_verdict = load(
-      "tdlib-result-cache 4\n1\n"
+      "tdlib-result-cache 5\n1\n"
       "00000000000000aa 00000000000000bb 7 1 2 3 4 5 6 7\nend\n");
   ASSERT_FALSE(bad_verdict.ok());
   EXPECT_EQ(bad_verdict.code(), ErrorCode::kCorrupt);
 
-  Result<int> truncated = load("tdlib-result-cache 4\n2\n"
+  Result<int> truncated = load("tdlib-result-cache 5\n2\n"
                                "00000000000000aa 00000000000000bb 0 1 2 3 4 5 6 7\n");
   ASSERT_FALSE(truncated.ok());
   EXPECT_EQ(truncated.code(), ErrorCode::kCorrupt);
 
-  Result<int> trailing = load("tdlib-result-cache 4\n0\nend\ngarbage\n");
+  Result<int> trailing = load("tdlib-result-cache 5\n0\nend\ngarbage\n");
   ASSERT_FALSE(trailing.ok());
   EXPECT_EQ(trailing.code(), ErrorCode::kCorrupt);
 
@@ -565,13 +689,15 @@ TEST(ResultCacheStore, RejectsDamageWithTypedCorruptErrors) {
 }
 
 TEST(ResultCacheStore, RefusesOlderVersionFiles) {
-  // Version-1 files were keyed by the previous fingerprint function,
+  // Version-1 files were keyed by an earlier fingerprint function,
   // version-2 entries carry the hom_nodes of the chase before it matched
-  // passes in dependency waves, and version-3 entries those of the chase
-  // before it kept one pending step per head key: each would serve what no
-  // solve computes now, so they are refused whole (tdbatch then starts
+  // passes in dependency waves, version-3 entries those of the chase before
+  // it kept one pending step per head key, and version-4 files are keyed by
+  // the fingerprint that hashed every row instead of each dependency's
+  // digest: each would serve what no solve computes now, or hold keys no
+  // fingerprint reaches, so they are refused whole (tdbatch then starts
   // cold) instead of loaded.
-  for (const char* version : {"1", "2", "3"}) {
+  for (const char* version : {"1", "2", "3", "4"}) {
     ResultCache cache;
     std::istringstream in(std::string("tdlib-result-cache ") + version +
                           "\n1\n"
@@ -588,7 +714,7 @@ TEST(ResultCacheStore, RefusesOlderVersionFiles) {
   ResultCache empty;
   std::stringstream saved;
   SaveResultCache(saved, empty);
-  EXPECT_EQ(saved.str().rfind("tdlib-result-cache 4\n", 0), 0u);
+  EXPECT_EQ(saved.str().rfind("tdlib-result-cache 5\n", 0), 0u);
 }
 
 // ---- Service integration ---------------------------------------------------

@@ -463,7 +463,7 @@ TEST(SerializationCorruptTest, HealthyBytesStillRoundTrip) {
   }
   {
     ResultCache cache;
-    EXPECT_EQ(corpus.cache_bytes.rfind("tdlib-result-cache 4\n", 0), 0u);
+    EXPECT_EQ(corpus.cache_bytes.rfind("tdlib-result-cache 5\n", 0), 0u);
     std::istringstream in(corpus.cache_bytes);
     Result<int> loaded = LoadResultCache(in, &cache);
     EXPECT_TRUE(loaded.ok());
