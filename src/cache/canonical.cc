@@ -2,6 +2,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "core/canonical_walk.h"
 #include "util/hash.h"
@@ -62,46 +63,15 @@ void WalkProblem(const DependencySet& d, const Dependency& d0,
   for (std::uint64_t field : fields) sink(Tok::kConfig, field);
 }
 
-void AppendLine(const char* label, std::uint64_t value, std::string* out) {
-  *out += label;
-  *out += std::to_string(value);
-  *out += '\n';
-}
-
-// Renders one dependency's canonical walk as text lines.
-class DependencyTextSink {
- public:
-  explicit DependencyTextSink(std::string* out) : out_(out) {}
-
-  void operator()(CanonicalTok tok, std::uint64_t value) {
-    switch (tok) {
-      case CanonicalTok::kDep: AppendLine("dep ", value, out_); break;
-      case CanonicalTok::kBody: AppendLine("b ", value, out_); break;
-      case CanonicalTok::kHead: AppendLine("h ", value, out_); break;
-    }
-  }
-
-  void Row(const std::uint32_t* labels, int arity) {
-    for (int attr = 0; attr < arity; ++attr) {
-      *out_ += std::to_string(labels[attr]);
-      *out_ += ' ';
-    }
-    *out_ += '\n';
-  }
-
- private:
-  std::string* out_;
-};
-
-// Renders the problem's token stream as the line-oriented debug text, each
+// Renders the token stream as the line-oriented debug text, each
 // dependency through the same walk its digest was computed from.
 class TextSink {
  public:
-  TextSink() : out_(kVersionTag) { out_ += '\n'; }
+  explicit TextSink(std::string first_line) : out_(std::move(first_line)) {}
 
   void operator()(Tok tok, std::uint64_t value) {
     switch (tok) {
-      case Tok::kCount: AppendLine("", value, &out_); break;
+      case Tok::kCount: Line("", value); break;
       case Tok::kGoal: out_ += "goal\n"; break;
       case Tok::kConfig:
         out_ += config_seen_ == 0 ? "cfg " : " ";
@@ -111,11 +81,35 @@ class TextSink {
     }
   }
 
-  void Dep(const Dependency& dep) { out_ += CanonicalDependencyText(dep); }
+  void operator()(CanonicalTok tok, std::uint64_t value) {
+    switch (tok) {
+      case CanonicalTok::kDep: Line("dep ", value); break;
+      case CanonicalTok::kBody: Line("b ", value); break;
+      case CanonicalTok::kHead: Line("h ", value); break;
+    }
+  }
+
+  void Row(const std::uint32_t* labels, int arity) {
+    for (int attr = 0; attr < arity; ++attr) {
+      out_ += std::to_string(labels[attr]);
+      out_ += ' ';
+    }
+    out_ += '\n';
+  }
+
+  void Dep(const Dependency& dep) {
+    WalkCanonicalDependency(dep.body(), dep.head(), *this);
+  }
 
   std::string Take() { return std::move(out_); }
 
  private:
+  void Line(const char* label, std::uint64_t value) {
+    out_ += label;
+    out_ += std::to_string(value);
+    out_ += '\n';
+  }
+
   std::string out_;
   int config_seen_ = 0;
 };
@@ -153,15 +147,14 @@ bool CacheableConfig(const DualSolverConfig& config) {
 }
 
 std::string CanonicalDependencyText(const Dependency& dep) {
-  std::string out;
-  DependencyTextSink sink(&out);
-  WalkCanonicalDependency(dep.body(), dep.head(), sink);
-  return out;
+  TextSink sink("");
+  sink.Dep(dep);
+  return sink.Take();
 }
 
 std::string CanonicalProblemText(const DependencySet& d, const Dependency& d0,
                                  const DualSolverConfig& config) {
-  TextSink sink;
+  TextSink sink(std::string(kVersionTag) + '\n');
   WalkProblem(d, d0, config, sink);
   return sink.Take();
 }

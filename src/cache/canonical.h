@@ -34,7 +34,11 @@
 // run. FingerprintProblem hashes the scalar tokens as 64-bit words
 // (util/hash.h::Hasher128) and each dependency as its digest: it reads no
 // row and allocates nothing, so fingerprinting a resubmitted problem costs
-// two hashed words per dependency however large its tableaux are.
+// two hashed words per dependency however large its tableaux are. A freshly
+// built dependency has paid its walk in Build instead, so a one-shot job
+// (parsed, generated or decoded just before it is submitted) costs what it
+// did when the fingerprint walked the rows; the saving is for callers that
+// submit the same built Dependency objects again.
 // CanonicalProblemText renders the same stream as text, each dependency
 // through the same walk its digest came from. Sharing the walk is what
 // keeps the two from drifting: equal texts <=> equal fingerprints.

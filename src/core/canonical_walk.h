@@ -13,6 +13,8 @@
 #ifndef TDLIB_CORE_CANONICAL_WALK_H_
 #define TDLIB_CORE_CANONICAL_WALK_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <vector>
 
@@ -38,27 +40,35 @@ template <typename Sink>
 void WalkCanonicalDependency(const Tableau& body, const Tableau& head,
                              Sink& sink) {
   const int arity = body.schema().arity();
-  // label[base[attr] + var] is the canonical index of variable id `var` of
-  // `attr` (-1 = not seen yet; ids are dense below Tableau::NumVars),
-  // next[attr] the next index to hand out.
-  std::vector<int> base(arity);
-  std::vector<int> next(arity, 0);
-  std::vector<std::uint32_t> out(arity);
   int vars = 0;
+  for (int attr = 0; attr < arity; ++attr) vars += body.NumVars(attr);
+  // One buffer, sized once: base[attr] is where attr's variables start in
+  // label, next[attr] the next index to hand out, out the current relabeled
+  // row, and label[base[attr] + var] the canonical index of variable id
+  // `var` of `attr` (kUnseen until it occurs; ids are dense below
+  // Tableau::NumVars).
+  constexpr std::uint32_t kUnseen = ~std::uint32_t{0};
+  std::vector<std::uint32_t> scratch(3 * static_cast<std::size_t>(arity) +
+                                     static_cast<std::size_t>(vars));
+  std::uint32_t* const base = scratch.data();
+  std::uint32_t* const next = base + arity;
+  std::uint32_t* const out = next + arity;
+  std::uint32_t* const label = out + arity;
+  std::uint32_t offset = 0;
   for (int attr = 0; attr < arity; ++attr) {
-    base[attr] = vars;
-    vars += body.NumVars(attr);
+    base[attr] = offset;
+    offset += static_cast<std::uint32_t>(body.NumVars(attr));
   }
-  std::vector<int> label(vars, -1);
+  std::fill(label, label + vars, kUnseen);
   auto walk_tableau = [&](const Tableau& t, CanonicalTok tag) {
     sink(tag, static_cast<std::uint64_t>(t.num_rows()));
     for (const Row& row : t.rows()) {
       for (int attr = 0; attr < arity; ++attr) {
-        int& l = label[base[attr] + row[attr]];
-        if (l < 0) l = next[attr]++;
-        out[attr] = static_cast<std::uint32_t>(l);
+        std::uint32_t& l = label[base[attr] + row[attr]];
+        if (l == kUnseen) l = next[attr]++;
+        out[attr] = l;
       }
-      sink.Row(out.data(), arity);
+      sink.Row(out, arity);
     }
   };
   sink(CanonicalTok::kDep, static_cast<std::uint64_t>(arity));

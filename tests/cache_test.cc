@@ -3,18 +3,12 @@
 // the persistent store (store.h), and the SolverService integration —
 // byte-identical hits, in-flight dedup, last-waiter cancellation, and the
 // exactly-once outcome accounting of cache-served completions.
-//
-// This binary replaces the global operator new with a counting one, so a
-// test can show that fingerprinting a built job allocates nothing.
 #include "cache/canonical.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <map>
-#include <new>
 #include <numeric>
 #include <set>
 #include <sstream>
@@ -37,23 +31,6 @@
 #include "semigroup/presentation.h"
 #include "util/metrics.h"
 #include "util/rng.h"
-
-namespace {
-std::atomic<long> g_allocations{0};
-}  // namespace
-
-// Out of line: inlined into a new-expression or a delete, the malloc() and
-// free() calls draw GCC's -Wmismatched-new-delete.
-[[gnu::noinline]] void* operator new(std::size_t size) {
-  g_allocations.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t size) { return ::operator new(size); }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { ::operator delete(p); }
-void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
-void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace tdlib {
 namespace {
@@ -505,20 +482,6 @@ TEST(Canonical, FingerprintSeesPremiseOrderButNotRenamedMembers) {
   EXPECT_EQ(FingerprintProblem(renamed, job.goal.RenameVariables("_copy"),
                                job.config),
             fp);
-}
-
-TEST(Canonical, FingerprintOfABuiltJobAllocatesNothing) {
-  // The rows were walked once, at Build: fingerprinting reads digests only,
-  // so not even the first call on a thread touches the allocator.
-  WorkloadOptions sweep;
-  sweep.size = 6;
-  for (const Job& job : ReductionSweepWorkload(sweep)) {
-    const long before = g_allocations.load();
-    const CacheFingerprint fp =
-        FingerprintProblem(job.dependencies, job.goal, job.config);
-    EXPECT_EQ(g_allocations.load() - before, 0) << job.name;
-    EXPECT_TRUE(fp.valid);
-  }
 }
 
 TEST(Canonical, FingerprintLowBitsSpreadOverFuzzCases) {

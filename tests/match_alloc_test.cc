@@ -1,6 +1,7 @@
-// Allocation guard for body matching: once a search object is warm, a
+// Allocation guards for the hot paths: once a search object is warm, a
 // further ForEach over the same instance must not touch the allocator —
-// not per search-tree node, not per candidate, not per visited match.
+// not per search-tree node, not per candidate, not per visited match — and
+// fingerprinting a built job must not touch it at all.
 //
 // This binary replaces the global operator new with a counting one, which
 // is why it is a test executable of its own.
@@ -12,6 +13,7 @@
 #include <new>
 #include <vector>
 
+#include "cache/canonical.h"
 #include "chase/chase.h"
 #include "core/satisfaction.h"
 #include "engine/workload.h"
@@ -21,16 +23,18 @@ namespace {
 std::atomic<long> g_allocations{0};
 }  // namespace
 
-void* operator new(std::size_t size) {
+// Out of line: inlined into a new-expression or a delete, the malloc() and
+// free() calls draw GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t size) {
   g_allocations.fetch_add(1, std::memory_order_relaxed);
   if (void* p = std::malloc(size == 0 ? 1 : size)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) { return ::operator new(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { ::operator delete(p); }
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+void operator delete[](void* p, std::size_t) noexcept { ::operator delete(p); }
 
 namespace tdlib {
 namespace {
@@ -163,6 +167,23 @@ TEST(MatchAllocations, SetUpCostsDoNotGrowWithTheTableau) {
                 HeadSeedValuationInto(dep, identity, &seed);
               }),
               0);
+  }
+}
+
+TEST(FingerprintAllocations, FingerprintOfABuiltJobAllocatesNothing) {
+  // Build walked the rows once: fingerprinting reads each dependency's
+  // digest only, so not even the first call on a thread allocates.
+  WorkloadOptions sweep;
+  sweep.size = 6;
+  for (const Job& job : ReductionSweepWorkload(sweep)) {
+    CacheFingerprint fp;
+    EXPECT_EQ(AllocationsOf([&] {
+                fp = FingerprintProblem(job.dependencies, job.goal,
+                                        job.config);
+              }),
+              0)
+        << job.name;
+    EXPECT_TRUE(fp.valid);
   }
 }
 
